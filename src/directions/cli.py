@@ -34,6 +34,7 @@ from .density import (
 )
 from .core import distance, normalize
 from .enumeration import (
+    _write_csv,
     cloud_metadata,
     directions,
     explicit_ground_set,
@@ -68,11 +69,21 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
 def _ground_args(sub: argparse.ArgumentParser) -> None:
     grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("--rule", help="naturals | primes | powers-of-<b> | poly-<d>")
     grp.add_argument(
-        "--elements", help="explicit comma-separated ground-set elements"
+        "--elements",
+        type=_int_list,
+        help="explicit comma-separated ground-set elements",
     )
     sub.add_argument("--N", type=int, help="prefix bound (required with --rule)")
 
@@ -82,8 +93,7 @@ def _build_ground(args) -> "object":
         if args.N is None:
             raise DirectionsError("--rule needs --N")
         return ground_set(args.rule, args.N)
-    values = [int(v) for v in args.elements.split(",") if v.strip()]
-    return explicit_ground_set(values)
+    return explicit_ground_set(args.elements)
 
 
 def _spec_args(sub: argparse.ArgumentParser) -> None:
@@ -105,11 +115,6 @@ def _build_spec(args) -> TargetSpec:
     if args.k is None:
         raise DirectionsError("--builtin needs --k")
     return TargetSpec(kind=args.builtin, k=args.k)
-
-
-def _parse_unit(text: str) -> tuple[float, ...]:
-    coords = tuple(float(v) for v in text.split(","))
-    return normalize(coords)
 
 
 def build_parser() -> _Parser:
@@ -144,33 +149,34 @@ def build_parser() -> _Parser:
 
     s = subs.add_parser("witness", help="bracketing tuple approximating a direction")
     _ground_args(s)
-    s.add_argument("--x", required=True, help="comma-separated direction, normalized internally")
+    s.add_argument(
+        "--x",
+        type=_float_list,
+        required=True,
+        help="comma-separated direction, normalized internally",
+    )
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--out")
 
-    s = subs.add_parser("construct", help="build a ground set realizing a target spec")
-    _spec_args(s)
-    s.add_argument("--M", type=int, required=True)
-    s.add_argument("--dump", help="JSONL per-step construction trace")
-    s.add_argument("--elements-out", help="CSV of constructed elements (decimal strings)")
-    s.add_argument("--verify", action="store_true")
-    s.add_argument("--L", type=int, help="tail index for --verify (default M//2)")
-    s.add_argument("--h", type=float, default=0.05)
-    s.add_argument("--tolerance", type=float, default=1e-3)
-    s.add_argument("--out")
-
-    s = subs.add_parser("verify", help="round-trip check of a constructed set")
-    _spec_args(s)
-    s.add_argument("--M", type=int, required=True)
-    s.add_argument("--L", type=int, help="tail index (default M//2)")
-    s.add_argument("--h", type=float, default=0.05)
-    s.add_argument("--tolerance", type=float, default=1e-3)
-    s.add_argument("--out")
+    c = subs.add_parser("construct", help="build a ground set realizing a target spec")
+    v = subs.add_parser("verify", help="round-trip check of a constructed set")
+    # verify is construct --verify without the construct-only outputs
+    v.set_defaults(verify=True, dump=None, elements_out=None)
+    for s in (c, v):
+        _spec_args(s)
+        s.add_argument("--M", type=int, required=True)
+        s.add_argument("--L", type=int, help="verification tail index (default M//2)")
+        s.add_argument("--h", type=float, default=0.05)
+        s.add_argument("--tolerance", type=float, default=1e-3)
+        s.add_argument("--out")
+    c.add_argument("--dump", help="JSONL per-step construction trace")
+    c.add_argument("--elements-out", help="CSV of constructed elements (decimal strings)")
+    c.add_argument("--verify", action="store_true")
 
     s = subs.add_parser("chain", help="covering radii at k and k-1")
     grp = s.add_mutually_exclusive_group(required=True)
     grp.add_argument("--rule")
-    grp.add_argument("--elements")
+    grp.add_argument("--elements", type=_int_list)
     grp.add_argument("--spec", help="construct from this target spec, then compare")
     grp.add_argument("--builtin", choices=[FULL_SPHERE, HYPERPLANE])
     s.add_argument("--N", type=int)
@@ -207,13 +213,11 @@ def _cmd_enumerate(args) -> None:
     if args.out:
         export_csv(cloud, args.out)
     if args.unit_out:
-        import csv as _csv
-
-        with open(args.unit_out, "w", encoding="utf-8", newline="") as fh:
-            w = _csv.writer(fh, lineterminator="\n")
-            w.writerow([f"x{i}" for i in range(cloud.k)])
-            for row in cloud.unit_points():
-                w.writerow([repr(float(v)) for v in row])
+        _write_csv(
+            args.unit_out,
+            [f"x{i}" for i in range(cloud.k)],
+            ([repr(float(v)) for v in row] for row in cloud.unit_points()),
+        )
     _emit(cloud_metadata(cloud), args.meta_out)
 
 
@@ -230,13 +234,14 @@ def _cmd_ratio_gap(args) -> None:
     A = _build_ground(args)
     stat = ratio_gap(A, args.windows)
     if args.trend_out:
-        import csv as _csv
-
-        with open(args.trend_out, "w", encoding="utf-8", newline="") as fh:
-            w = _csv.writer(fh, lineterminator="\n")
-            w.writerow(["window", "first_index", "last_index", "max_gap"])
-            for i, ((lo, hi), g) in enumerate(zip(stat.windows, stat.trend)):
-                w.writerow([i, lo, hi, repr(g)])
+        _write_csv(
+            args.trend_out,
+            ["window", "first_index", "last_index", "max_gap"],
+            (
+                [i, lo, hi, repr(g)]
+                for i, ((lo, hi), g) in enumerate(zip(stat.windows, stat.trend))
+            ),
+        )
     _emit(
         {
             "rule": A.rule,
@@ -255,7 +260,7 @@ def _cmd_ratio_gap(args) -> None:
 
 def _cmd_witness(args) -> None:
     A = _build_ground(args)
-    x = _parse_unit(args.x)
+    x = normalize(args.x)
     picks = witness_tuple(A, x, args.m)
     _emit(
         {
@@ -270,32 +275,22 @@ def _cmd_witness(args) -> None:
     )
 
 
-def _construct_doc(A, spec, M) -> dict:
-    return {
-        "spec_kind": spec.kind,
-        "k": spec.k,
-        "M": M,
-        "element_count": len(A.elements),
-        "max_element": str(A.elements[-1]) if A.elements else None,
-        "tie_breaks": [rec.tie_break for rec in A.steps],
-        "direction_errors": [rec.direction_error for rec in A.steps],
-    }
-
-
 def _cmd_construct(args) -> None:
     spec = _build_spec(args)
     A = construct(spec, args.M)
     if args.dump:
         dump_construction(A, args.dump)
     if args.elements_out:
-        import csv as _csv
-
-        with open(args.elements_out, "w", encoding="utf-8", newline="") as fh:
-            w = _csv.writer(fh, lineterminator="\n")
-            w.writerow(["element"])
-            for e in A.elements:
-                w.writerow([str(e)])
-    doc = _construct_doc(A, spec, args.M)
+        _write_csv(args.elements_out, ["element"], ([str(e)] for e in A.elements))
+    doc = {
+        "spec_kind": spec.kind,
+        "k": spec.k,
+        "M": args.M,
+        "element_count": len(A.elements),
+        "max_element": str(A.elements[-1]) if A.elements else None,
+        "tie_breaks": [rec.tie_break for rec in A.steps],
+        "direction_errors": [rec.direction_error for rec in A.steps],
+    }
     if args.verify:
         L = args.L if args.L is not None else max(1, args.M // 2)
         rep = verify_construction(
@@ -305,37 +300,13 @@ def _cmd_construct(args) -> None:
     _emit(doc, args.out)
 
 
-def _cmd_verify(args) -> None:
-    spec = _build_spec(args)
-    A = construct(spec, args.M)
-    L = args.L if args.L is not None else max(1, args.M // 2)
-    rep = verify_construction(A, spec, args.M, L, args.h, tolerance=args.tolerance)
-    doc = _construct_doc(A, spec, args.M)
-    doc["verification"] = rep.to_dict()
-    _emit(doc, args.out)
-
-
 def _cmd_chain(args) -> None:
     if args.spec is not None or args.builtin is not None:
         if args.M is None:
             raise DirectionsError("--spec/--builtin chain needs --M")
-        if args.builtin is not None and args.k is None:
-            raise DirectionsError("--builtin needs --k")
-        spec = (
-            load_spec(args.spec)
-            if args.spec is not None
-            else TargetSpec(kind=args.builtin, k=args.k)
-        )
-        A = construct(spec, args.M)
+        A = construct(_build_spec(args), args.M)
     else:
-        if args.rule is not None:
-            if args.N is None:
-                raise DirectionsError("--rule needs --N")
-            A = ground_set(args.rule, args.N)
-        else:
-            A = explicit_ground_set(
-                [int(v) for v in args.elements.split(",") if v.strip()]
-            )
+        A = _build_ground(args)
     top, down = chain_check(
         A,
         args.k,
@@ -384,7 +355,7 @@ _COMMANDS = {
     "ratio-gap": _cmd_ratio_gap,
     "witness": _cmd_witness,
     "construct": _cmd_construct,
-    "verify": _cmd_verify,
+    "verify": _cmd_construct,
     "chain": _cmd_chain,
     "demo-repetition": _cmd_demo,
     "net-audit": _cmd_net_audit,

@@ -37,13 +37,14 @@ from typing import Sequence
 
 from .core import distance, normalize, primitive
 from .enumeration import GroundSet, budget
-from .errors import DomainError, ResourceError
+from .errors import CertificateError, DomainError, ResourceError
 from .exact import SurdSum, sqrt_floor
 from .targets import (
     HYPERPLANE,
     FULL_SPHERE,
     TargetPoint,
     TargetSpec,
+    _coord_to_json,
     dense_prefix,
     enumerate_dense,
     validate_target,
@@ -52,16 +53,11 @@ from .targets import (
 
 @dataclass(frozen=True)
 class FactorialFloor:
-    """Certified floor(m! * y_i) for one target coordinate.
-
-    precision_bits is 0: the value comes from exact integer arithmetic,
-    not from interval refinement, so no precision parameter was involved.
-    """
+    """Certified floor(m! * y_i) for one target coordinate."""
 
     m: int
     i: int
     value: int
-    precision_bits: int = 0
 
 
 def _scaled_square(point: TargetPoint, i: int, m: int) -> Fraction:
@@ -99,7 +95,6 @@ class StepRecord:
 class ConstructionState:
     """Mutable bookkeeping threaded through construct_step."""
 
-    k: int
     ratio_registry: set[tuple[int, ...]] = field(default_factory=set)
     records: list[StepRecord] = field(default_factory=list)
     provenance: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
@@ -114,22 +109,25 @@ def _check_step_certificates(
 ) -> float:
     """Exact per-step certificates; returns the float direction error."""
     k = len(values)
-    assert len(set(values)) == k, f"step {m}: entries not distinct"
+    if len(set(values)) != k:
+        raise CertificateError(f"step {m}: entries not distinct")
     slack = k + m
     for i, c in enumerate(values):
         sq = _scaled_square(point, i, m)
         # c always exceeds m! y_i, by less than s_i + t <= k + m
-        assert sq <= Fraction(c * c), f"step {m}: floor overshot at {i}"
-        if c > slack:
-            low = c - slack
-            assert Fraction(low * low) <= sq, (
+        if sq > Fraction(c * c):
+            raise CertificateError(f"step {m}: floor overshot at {i}")
+        if c > slack and Fraction((c - slack) ** 2) > sq:
+            raise CertificateError(
                 f"step {m}: coordinate {i} drifted past (k+m)"
             )
     err_sq = point.distance_sq(TargetPoint.from_ints(*values))
     if m >= 4:
         bound = Fraction(10 * slack, factorial(m)) ** 2
-        gap = SurdSum.rational(bound) - err_sq
-        assert gap.sign() >= 0, f"step {m}: direction error above 10(k+m)/m!"
+        if (SurdSum.rational(bound) - err_sq).sign() < 0:
+            raise CertificateError(
+                f"step {m}: direction error above 10(k+m)/m!"
+            )
     val = err_sq.to_float(bits=256)
     return sqrt(val) if val > 0 else 0.0
 
@@ -191,7 +189,7 @@ def construct(spec: TargetSpec, M: int) -> GroundSet:
         raise DomainError(
             f"refusing to construct from a {report.verdict} target spec"
         )
-    state = ConstructionState(k=spec.k)
+    state = ConstructionState()
     for m in range(1, M + 1):
         construct_step(spec, m, state)
     elements = tuple(sorted(state.provenance))
@@ -215,10 +213,7 @@ def dump_construction(A: GroundSet, path: str) -> None:
                 "offsets": list(rec.offsets),
                 "tie_break": rec.tie_break,
                 "values": [str(v) for v in rec.values],
-                "target": [
-                    {"q": f"{c.q.numerator}/{c.q.denominator}", "r": c.r}
-                    for c in rec.target.coords
-                ],
+                "target": [_coord_to_json(c) for c in rec.target.coords],
                 "direction_error": rec.direction_error,
             }
             fh.write(json.dumps(doc) + "\n")

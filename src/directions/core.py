@@ -12,7 +12,7 @@ Coordinate indices are 0-based everywhere in this package.
 from __future__ import annotations
 
 from math import fsum, gcd, sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -56,56 +56,6 @@ def primitive(a: Sequence[int]) -> IntVec:
     if g == 0:
         raise DomainError("all-zero vector has no direction")
     return tuple(c // g for c in a)
-
-
-def project(x: Sequence[float], keep: Iterable[int]) -> FloatVec:
-    """Zero every coordinate outside ``keep``, then renormalize.
-
-    ``keep`` holds 0-based indices and must meet x: at least one kept
-    coordinate has to be nonzero, otherwise the result would be the zero
-    vector and the operation is undefined.
-
-    When no coordinate actually changes (every dropped one is already 0.0)
-    the input tuple is returned unchanged, making the map exactly idempotent
-    and exactly the identity on the full index set.
-    """
-    k = len(x)
-    keep_set = set(keep)
-    if not keep_set:
-        raise DomainError("empty index set")
-    for i in keep_set:
-        if not 0 <= i < k:
-            raise DomainError(f"index {i} out of range for dimension {k}")
-    if all(x[i] == 0.0 for i in keep_set):
-        raise DomainError(f"index set {sorted(keep_set)} does not meet {x!r}")
-    if all(x[i] == 0.0 for i in range(k) if i not in keep_set):
-        return tuple(x)
-    masked = tuple(x[i] if i in keep_set else 0.0 for i in range(k))
-    return normalize(masked)
-
-
-def permute(x: Sequence[float], order: Sequence[int]) -> FloatVec:
-    """Reorder coordinates: result[i] = x[order[i]].
-
-    ``order`` must be a bijection on {0, ..., k-1}.
-    """
-    k = len(x)
-    if len(order) != k or sorted(order) != list(range(k)):
-        raise DomainError(f"{order!r} is not a permutation of 0..{k - 1}")
-    return tuple(x[j] for j in order)
-
-
-def all_permutations(k: int) -> list[IntVec]:
-    from itertools import permutations
-
-    return [tuple(p) for p in permutations(range(k))]
-
-
-def lift(x: Sequence[float]) -> FloatVec:
-    """Embed a direction one dimension up by appending a zero coordinate."""
-    if len(x) < 2:
-        raise DomainError("lift needs input dimension >= 2")
-    return tuple(x) + (0.0,)
 
 
 def distance(x: Sequence[float], y: Sequence[float]) -> float:

@@ -29,7 +29,7 @@ from scipy.spatial import cKDTree
 
 from .core import distance, is_unit, normalize
 from .enumeration import DirectionCloud, GroundSet, budget, directions
-from .errors import DomainError, ResourceError
+from .errors import CertificateError, DomainError, ResourceError
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,11 @@ def witness_tuple(
     """Bracketing tuple whose direction approximates x.
 
     For each coordinate, picks the least element of A strictly above m*x_i;
-    its predecessor is then at most m*x_i, and this sandwich is asserted on
+    its predecessor is then at most m*x_i, and this sandwich is checked on
     every call.  The normalized tuple approaches x as m grows, at the rate
     of the worst consecutive-element ratio near the thresholds; that bound
-    is also asserted, with constant 2*sqrt(k) absorbing normalization.
+    is also checked, with constant 2*sqrt(k) absorbing normalization.  A
+    failed check raises CertificateError.
     """
     k = len(x)
     if k < 2:
@@ -212,13 +213,14 @@ def witness_tuple(
                 f"the prefix bound {A.bound} is too small for m = {m}"
             )
         # m >= a_1/min(x) puts a_1 at or below every threshold
-        assert j >= 1
-        assert A.elements[j - 1] <= threshold < A.elements[j], "sandwich broke"
+        if j < 1 or not A.elements[j - 1] <= threshold < A.elements[j]:
+            raise CertificateError(f"sandwich broke at threshold {threshold}")
         picks.append(A.elements[j])
         ratios.append(A.elements[j] / A.elements[j - 1])
     err = distance(normalize(picks), x)
     bound = 2.0 * sqrt(k) * (max(ratios) - 1.0)
-    assert err <= bound + 1e-12, f"witness error {err} above bound {bound}"
+    if err > bound + 1e-12:
+        raise CertificateError(f"witness error {err} above bound {bound}")
     return tuple(picks)
 
 

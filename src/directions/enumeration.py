@@ -16,13 +16,12 @@ constructor's factorial-scale values beyond 20!) takes a big-integer path.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -195,8 +194,19 @@ class DirectionCloud:
         if isinstance(self.rows, np.ndarray):
             pts = self.rows.astype(np.float64)
         else:
-            pts = np.array([[float(c) for c in row] for row in self.rows])
+            pts = np.array([_scaled_floats(row) for row in self.rows])
         return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _scaled_floats(row: tuple[int, ...]) -> list[float]:
+    """The row over a power of two that keeps its squared norm finite.
+
+    int/int division rounds correctly, so a row below 2^60 converts
+    exactly as float(c) would, and a larger one only by a power of two
+    more, which normalization cancels.
+    """
+    d = 1 << max(0, max(row).bit_length() - 60)
+    return [c / d for c in row]
 
 
 def _distinct_mask(cols: np.ndarray) -> np.ndarray:
@@ -232,20 +242,6 @@ def _exhaustive_numpy(
     return np.unique(np.concatenate(pieces), axis=0)
 
 
-def _exhaustive_python(
-    elems: Sequence[int], k: int, distinct: bool
-) -> tuple[tuple[int, ...], ...]:
-    seen: set[tuple[int, ...]] = set()
-    for tup in product(elems, repeat=k):
-        if distinct and len(set(tup)) != k:
-            continue
-        g = 0
-        for c in tup:
-            g = gcd(g, c)
-        seen.add(tuple(c // g for c in tup))
-    return tuple(sorted(seen))
-
-
 def _sampled_numpy(
     elems: np.ndarray, k: int, distinct: bool, sample: int, seed: int
 ) -> np.ndarray:
@@ -259,19 +255,15 @@ def _sampled_numpy(
     return np.unique(_reduce_rows(rows), axis=0)
 
 
-def _sampled_python(
-    elems: Sequence[int], k: int, distinct: bool, sample: int, seed: int
+def _reduce_python(
+    tuples: Iterable[tuple[int, ...]], k: int, distinct: bool
 ) -> tuple[tuple[int, ...], ...]:
-    rng = random.Random(seed)
+    """Sorted distinct primitive forms of big-integer tuples."""
     seen: set[tuple[int, ...]] = set()
-    n = len(elems)
-    for _ in range(sample):
-        tup = tuple(elems[rng.randrange(n)] for _ in range(k))
+    for tup in tuples:
         if distinct and len(set(tup)) != k:
             continue
-        g = 0
-        for c in tup:
-            g = gcd(g, c)
+        g = gcd(*tup)
         seen.add(tuple(c // g for c in tup))
     return tuple(sorted(seen))
 
@@ -295,90 +287,63 @@ def directions(
     if k < 2:
         raise DomainError("dimension k must be >= 2")
     n = len(A.elements)
-    if distinct_entries_only and n < k and sample is None:
-        raise DomainError(
-            f"distinct-entry tuples need |A| >= k, got |A|={n}, k={k}"
-        )
-    fits_word = n == 0 or A.elements[-1] < _INT64_LIMIT
-    if sample is not None:
-        if sample < 1:
-            raise DomainError("sample size must be >= 1")
-        if n == 0 or (distinct_entries_only and n < k):
-            rows: object = np.zeros((0, k), dtype=np.int64)
-        elif fits_word:
-            rows = _sampled_numpy(
-                np.asarray(A.elements, dtype=np.int64),
-                k,
-                distinct_entries_only,
-                sample,
-                seed,
+    if sample is None:
+        if distinct_entries_only and n < k:
+            raise DomainError(
+                f"distinct-entry tuples need |A| >= k, got |A|={n}, k={k}"
             )
+        total = n**k
+        if total > budget():
+            raise ResourceError(
+                f"{n}^{k} = {total} tuples exceed the budget {budget()}; "
+                "pass a sample size or raise DIRECTIONS_BUDGET"
+            )
+    elif sample < 1:
+        raise DomainError("sample size must be >= 1")
+    elems = A.elements
+    if n == 0 or (distinct_entries_only and n < k):
+        rows: object = np.zeros((0, k), dtype=np.int64)
+    elif elems[-1] < _INT64_LIMIT:
+        arr = np.asarray(elems, dtype=np.int64)
+        if sample is None:
+            rows = _exhaustive_numpy(arr, k, distinct_entries_only)
         else:
-            rows = _sampled_python(
-                A.elements, k, distinct_entries_only, sample, seed
-            )
-        return DirectionCloud(
-            k=k,
-            rows=rows,
-            distinct_entries_only=distinct_entries_only,
-            rule=A.rule,
-            bound=A.bound,
-            sampled=True,
-            sample_size=sample,
-            seed=seed,
-        )
-    total = n**k
-    if total > budget():
-        raise ResourceError(
-            f"{n}^{k} = {total} tuples exceed the budget {budget()}; "
-            "pass a sample size or raise DIRECTIONS_BUDGET"
-        )
-    if n == 0:
-        rows = np.zeros((0, k), dtype=np.int64)
-    elif fits_word:
-        rows = _exhaustive_numpy(
-            np.asarray(A.elements, dtype=np.int64), k, distinct_entries_only
-        )
+            rows = _sampled_numpy(arr, k, distinct_entries_only, sample, seed)
     else:
-        rows = _exhaustive_python(A.elements, k, distinct_entries_only)
+        if sample is None:
+            tuples = product(elems, repeat=k)
+        else:
+            rng = random.Random(seed)
+            tuples = (
+                tuple(elems[rng.randrange(n)] for _ in range(k))
+                for _ in range(sample)
+            )
+        rows = _reduce_python(tuples, k, distinct_entries_only)
     return DirectionCloud(
         k=k,
         rows=rows,
         distinct_entries_only=distinct_entries_only,
         rule=A.rule,
         bound=A.bound,
+        sampled=sample is not None,
+        sample_size=sample or 0,
+        seed=None if sample is None else seed,
     )
 
 
-def accumulation_candidates(A: GroundSet, k: int, L: int) -> DirectionCloud:
-    """Directions of distinct-entry tuples with every entry >= L.
-
-    Finite stand-in for the directions attainable by tuples of unboundedly
-    large elements; L above max(A) simply gives an empty cloud.
-    """
-    if L < 1:
-        raise DomainError("tail threshold must be >= 1")
-    tail = tuple(e for e in A.elements if e >= L)
-    if len(tail) < k:
-        return DirectionCloud(
-            k=k,
-            rows=np.zeros((0, k), dtype=np.int64),
-            distinct_entries_only=True,
-            rule=f"{A.rule}-tail",
-            bound=A.bound,
-        )
-    sub = GroundSet(rule=f"{A.rule}-tail", elements=tail, bound=A.bound)
-    cloud = directions(sub, k, distinct_entries_only=True)
-    return cloud
+def _write_csv(
+    path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    """LF-terminated CSV, the same bytes on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def export_csv(cloud: DirectionCloud, path: str) -> None:
     """One primitive direction per row, plain integer entries."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"c{i}" for i in range(cloud.k)])
-        for row in cloud:
-            writer.writerow(list(row))
+    _write_csv(path, [f"c{i}" for i in range(cloud.k)], cloud)
 
 
 def cloud_metadata(cloud: DirectionCloud) -> dict:
@@ -395,9 +360,3 @@ def cloud_metadata(cloud: DirectionCloud) -> dict:
         meta["sample_size"] = cloud.sample_size
         meta["seed"] = cloud.seed
     return meta
-
-
-def export_json(cloud: DirectionCloud, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(cloud_metadata(cloud), fh, indent=2)
-        fh.write("\n")

@@ -19,3 +19,7 @@ class ResourceError(DirectionsError):
 
 class PrecisionError(DirectionsError):
     """An exact comparison could not be certified within the precision cap."""
+
+
+class CertificateError(DirectionsError):
+    """An exact certificate of a construction step or witness failed."""

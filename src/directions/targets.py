@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import count, islice, permutations
+from itertools import count, cycle, islice, permutations
 from typing import Callable, Iterator, Sequence
 
 from .core import FloatVec, normalize
@@ -210,6 +210,21 @@ def _meeting_index_sets(point: TargetPoint) -> Iterator[tuple[int, ...]]:
             yield members
 
 
+def _orbit(
+    point: TargetPoint,
+) -> Iterator[tuple[TargetPoint, str, tuple[int, ...]]]:
+    """Images of point under every permutation, then every restriction.
+
+    Restrictions run over the index sets that meet the point.  Each image
+    comes with the kind of map and its indices, which name it in a
+    validation witness.
+    """
+    for order in permutations(range(point.k)):
+        yield point.permuted(order), "permutation", order
+    for members in _meeting_index_sets(point):
+        yield point.restricted(members), "projection onto", members
+
+
 def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     """Smallest superset closed under permutations and index projections.
 
@@ -230,10 +245,7 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
         if key in seen:
             continue
         seen[key] = p
-        for order in permutations(range(k)):
-            work.append(p.permuted(order))
-        for members in _meeting_index_sets(p):
-            work.append(p.restricted(members))
+        work.extend(q for q, _, _ in _orbit(p))
     closed = canonical_order(seen.values())
     return TargetSpec(kind=FINITE, k=k, points=tuple(closed))
 
@@ -252,19 +264,14 @@ def validate_target(spec: TargetSpec) -> ValidityReport:
         )
     keys = spec.point_keys()
     witnesses: list[tuple[TargetPoint | None, str]] = []
-    permutation_ok = True
-    projection_ok = True
+    failed: set[str] = set()
     for p in spec.points:
-        for order in permutations(range(spec.k)):
-            q = p.permuted(order)
+        for q, kind, indices in _orbit(p):
             if q.key() not in keys:
-                permutation_ok = False
-                witnesses.append((p, f"missing permutation {order}"))
-        for members in _meeting_index_sets(p):
-            q = p.restricted(members)
-            if q.key() not in keys:
-                projection_ok = False
-                witnesses.append((p, f"missing projection onto {members}"))
+                failed.add(kind)
+                witnesses.append((p, f"missing {kind} {indices}"))
+    permutation_ok = "permutation" not in failed
+    projection_ok = "projection onto" not in failed
     # a finite point set is closed as a subset of the sphere
     closed_ok = True
     ok = closed_ok and permutation_ok and projection_ok
@@ -307,29 +314,27 @@ def _orthant_directions(k: int, need_zero: bool) -> Iterator[TargetPoint]:
             yield TargetPoint.from_ints(*vec)
 
 
+def _dense_sequence(spec: TargetSpec) -> Iterator[TargetPoint]:
+    """The spec's dense sequence, from its first point on."""
+    if spec.kind == FINITE:
+        return cycle(spec.points)
+    if spec.kind == CUSTOM:
+        return map(spec.enumerator, count(1))
+    return _orthant_directions(spec.k, need_zero=spec.kind == HYPERPLANE)
+
+
 def enumerate_dense(spec: TargetSpec, m: int) -> TargetPoint:
     """The m-th point (m >= 1) of the spec's dense sequence."""
     if m < 1:
         raise DomainError("enumeration index starts at 1")
-    if spec.kind == FINITE:
-        return spec.points[(m - 1) % len(spec.points)]
-    if spec.kind == CUSTOM:
-        return spec.enumerator(m)
-    need_zero = spec.kind == HYPERPLANE
-    gen = _orthant_directions(spec.k, need_zero)
-    return next(islice(gen, m - 1, m))
+    return next(islice(_dense_sequence(spec), m - 1, None))
 
 
 def dense_prefix(spec: TargetSpec, M: int) -> list[TargetPoint]:
     """Points 1..M of the dense sequence, in order."""
     if M < 0:
         raise DomainError("prefix length must be >= 0")
-    if spec.kind == FINITE:
-        return [spec.points[m % len(spec.points)] for m in range(M)]
-    if spec.kind == CUSTOM:
-        return [spec.enumerator(m) for m in range(1, M + 1)]
-    need_zero = spec.kind == HYPERPLANE
-    return list(islice(_orthant_directions(spec.k, need_zero), M))
+    return list(islice(_dense_sequence(spec), M))
 
 
 def _coord_to_json(c: Surd) -> dict:
@@ -356,8 +361,13 @@ def save_spec(spec: TargetSpec, path: str) -> None:
 
 
 def load_spec(path: str) -> TargetSpec:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read spec file {path!r}: {exc}") from exc
+    if not isinstance(doc, dict) or "k" not in doc:
+        raise DomainError(f"spec file {path!r} has no 'k' field")
     kind = doc.get("kind", FINITE)
     k = int(doc["k"])
     if kind in (FULL_SPHERE, HYPERPLANE):

@@ -62,6 +62,40 @@ class TestExitCodes:
         assert proc.returncode == 64
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, spec_text, code",
+        [
+            (["enumerate", "--elements", "1,x", "--k", "2"], None, 64),
+            (
+                ["witness", "--rule", "naturals", "--N", "100",
+                 "--x", "0.6,abc", "--m", "10"],
+                None,
+                64,
+            ),
+            (["construct", "--spec", "SPEC", "--M", "3"], None, 1),
+            (["construct", "--spec", "SPEC", "--M", "3"], "{not json", 1),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"kind": "finite-set", "generators": [[{"q": "1", "r": 1}]]}',
+                1,
+            ),
+        ],
+        ids=["elements", "x", "missing-spec", "malformed-spec", "spec-without-k"],
+    )
+    def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):
+        spec = tmp_path / "spec.json"
+        if spec_text is not None:
+            spec.write_text(spec_text)
+        argv = [str(spec) if a == "SPEC" else a for a in argv]
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert "error:" in capsys.readouterr().err
+
+
 class TestReports:
     def test_schema_version_everywhere(self, capsys):
         invocations = [

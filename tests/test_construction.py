@@ -2,10 +2,17 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import directions
 
 from directions.construction import (
     ConstructionState,
@@ -83,7 +90,7 @@ class TestConstructStep:
     def test_offset_collision_resolved(self):
         # floors (0, 0): second coordinate must step past the first
         spec = custom(2, [TargetPoint.from_ints(3, 2)])
-        state = ConstructionState(k=2)
+        state = ConstructionState()
         got = construct_step(spec, 1, state)
         rec = state.records[0]
         assert rec.floors == (0, 0)
@@ -96,7 +103,7 @@ class TestConstructStep:
         spec = custom(
             2, [TargetPoint.from_ints(3, 2), TargetPoint.from_ints(2, 4)]
         )
-        state = ConstructionState(k=2)
+        state = ConstructionState()
         assert construct_step(spec, 1, state) == (2, 3)
         assert construct_step(spec, 2, state) == (3, 4)
         assert state.records[1].tie_break == 2
@@ -106,21 +113,21 @@ class TestConstructStep:
         spec = custom(
             2, [TargetPoint.from_ints(2, 3), TargetPoint.from_ints(3, 4)]
         )
-        state = ConstructionState(k=2)
+        state = ConstructionState()
         assert construct_step(spec, 1, state) == (2, 3)
         assert construct_step(spec, 2, state) == (3, 4)
         assert state.records[1].tie_break == 1
 
     def test_entries_always_distinct(self):
         spec = TargetSpec(kind=FULL_SPHERE, k=3)
-        state = ConstructionState(k=3)
+        state = ConstructionState()
         for m in range(1, 13):
             values = construct_step(spec, m, state)
             assert len(set(values)) == 3
 
     def test_leading_ratios_injective(self):
         spec = TargetSpec(kind=HYPERPLANE, k=3)
-        state = ConstructionState(k=3)
+        state = ConstructionState()
         seen = set()
         for m in range(1, 13):
             v = construct_step(spec, m, state)
@@ -130,19 +137,46 @@ class TestConstructStep:
 
     def test_steps_must_run_in_order(self):
         spec = custom(2, [TargetPoint.from_ints(1, 2)] * 5)
-        state = ConstructionState(k=2)
+        state = ConstructionState()
         with pytest.raises(DomainError):
             construct_step(spec, 2, state)
 
     def test_floor_plus_offset_window(self):
         # every entry sits within k + m of the scaled target coordinate
         spec = TargetSpec(kind=FULL_SPHERE, k=2)
-        state = ConstructionState(k=2)
+        state = ConstructionState()
         for m in range(1, 11):
             v = construct_step(spec, m, state)
             rec = state.records[-1]
             for i in (0, 1):
                 assert 0 < v[i] - rec.floors[i] <= 2 + m
+
+    def test_certificates_survive_optimize(self):
+        # python -O strips asserts; a certificate must still raise there
+        script = textwrap.dedent(
+            """
+            import sys
+            from directions.construction import _check_step_certificates
+            from directions.errors import CertificateError
+            from directions.targets import TargetPoint
+
+            if not sys.flags.optimize:
+                sys.exit(2)
+            try:
+                _check_step_certificates(TargetPoint.from_ints(1, 2), 5, (7, 7))
+            except CertificateError:
+                sys.exit(0)
+            sys.exit(1)
+            """
+        )
+        src = str(Path(directions.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConstruct:

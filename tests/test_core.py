@@ -1,21 +1,11 @@
-"""Vector primitives: normalization, reduction, restriction, permutation."""
+"""Vector primitives: normalization, reduction, distance."""
 
 import math
 import random
 
 import pytest
 
-from directions.core import (
-    all_permutations,
-    distance,
-    is_unit,
-    lift,
-    norm,
-    normalize,
-    permute,
-    primitive,
-    project,
-)
+from directions.core import distance, is_unit, norm, normalize, primitive
 from directions.errors import DomainError
 
 
@@ -69,94 +59,6 @@ class TestPrimitive:
             if not any(x):
                 continue
             assert distance(normalize(primitive(x)), normalize(x)) <= 1e-9
-
-
-class TestProject:
-    def test_spec_shape(self):
-        # keep {0, 2} of a 3-vector: middle coordinate zeroed, renormalized
-        got = project((0.6, 0.48, 0.64), {0, 2})
-        z = normalize((0.6, 0.0, 0.64))
-        assert got == pytest.approx(z, abs=1e-15)
-        assert got[1] == 0.0
-
-    def test_full_keep_identity_exact(self):
-        x = (0.6, 0.8)
-        assert project(x, {0, 1}) == x  # bitwise equal, no renorm drift
-
-    def test_superset_of_support_identity(self):
-        x = normalize((3.0, 0.0, 4.0))
-        assert project(x, {0, 1, 2}) == tuple(x)
-
-    def test_idempotent(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            k = rng.randint(2, 6)
-            x = normalize(tuple(rng.random() + 0.01 for _ in range(k)))
-            keep = set(rng.sample(range(k), rng.randint(1, k)))
-            once = project(x, keep)
-            assert project(once, keep) == once
-
-    def test_rejects_empty_keep(self):
-        with pytest.raises(DomainError):
-            project((0.6, 0.8), set())
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            project((0.6, 0.8), {0, 2})
-
-    def test_rejects_keep_missing_support(self):
-        # keep set must meet the support of x
-        with pytest.raises(DomainError):
-            project((0.6, 0.0, 0.8), {1})
-
-
-class TestPermute:
-    def test_pull_back_convention(self):
-        # result[i] = x[order[i]]
-        assert permute((10.0, 20.0, 30.0), (2, 0, 1)) == (30.0, 10.0, 20.0)
-
-    def test_identity(self):
-        x = (0.6, 0.8)
-        assert permute(x, (0, 1)) == x
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(DomainError):
-            permute((1.0, 2.0), (0, 0))
-        with pytest.raises(DomainError):
-            permute((1.0, 2.0), (0, 2))
-
-    def test_commutes_with_normalize(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            k = rng.randint(2, 6)
-            x = tuple(rng.random() + 0.01 for _ in range(k))
-            order = list(range(k))
-            rng.shuffle(order)
-            order = tuple(order)
-            a = permute(normalize(x), order)
-            b = normalize(permute(x, order))
-            assert a == pytest.approx(b, abs=1e-15)
-
-    def test_all_permutations_orders(self):
-        orders = all_permutations(3)
-        assert len(orders) == 6
-        assert len(set(orders)) == 6
-        assert (0, 1, 2) in orders
-        pts = {permute((1.0, 1.0, 2.0), o) for o in orders}
-        assert len(pts) == 3  # repeated entries collapse images
-
-
-class TestLift:
-    def test_appends_zero(self):
-        assert lift((0.6, 0.8)) == (0.6, 0.8, 0.0)
-
-    def test_preserves_norm(self):
-        x = normalize((2, 3, 5))
-        assert norm(lift(x)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_rejects_short_input(self):
-        with pytest.raises(DomainError):
-            lift((1.0,))
 
 
 class TestDistance:

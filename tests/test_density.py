@@ -112,10 +112,7 @@ class TestCoveringRadius:
 
     def test_rejects_empty_cloud(self):
         net = sphere_net(2, 0.1)
-        A = explicit_ground_set([4, 5])
-        from directions.enumeration import accumulation_candidates
-
-        empty = accumulation_candidates(A, 2, 10)
+        empty = directions(explicit_ground_set([]), 2)
         with pytest.raises(DomainError):
             covering_radius(empty, net)
 

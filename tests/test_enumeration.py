@@ -1,22 +1,24 @@
 """Ground sets and direction clouds."""
 
 import csv
+import random
 
 import numpy as np
 import pytest
 
+from directions.construction import construct
+from directions.core import primitive
 from directions.enumeration import (
     DEFAULT_BUDGET,
-    accumulation_candidates,
     budget,
     cloud_metadata,
     directions,
     explicit_ground_set,
     export_csv,
-    export_json,
     ground_set,
 )
 from directions.errors import DomainError, ResourceError
+from directions.targets import FULL_SPHERE, TargetSpec
 
 from oracles import brute_directions
 
@@ -98,8 +100,6 @@ class TestDirections:
         assert (1, 2) in without  # (2, 4) reduces to it
 
     def test_matches_brute_force(self):
-        import random
-
         rng = random.Random(915)
         for _ in range(25):
             n = rng.randint(2, 6)
@@ -121,6 +121,15 @@ class TestDirections:
         got = directions(A, 2, True).as_set()
         want = brute_directions(A.elements, 2, True)
         assert got == want
+        # sampled: seeded random.Random draws, k indices per tuple, in order
+        rng = random.Random(4)
+        drawn = [
+            tuple(A.elements[rng.randrange(3)] for _ in range(2))
+            for _ in range(5)
+        ]
+        got = directions(A, 2, True, sample=5, seed=4)
+        assert got.sampled and not isinstance(got.rows, np.ndarray)
+        assert got.as_set() == {primitive(t) for t in drawn if t[0] != t[1]}
 
     def test_k_below_two_rejected(self):
         A = explicit_ground_set([1, 2])
@@ -143,6 +152,21 @@ class TestDirections:
         pts = directions(A, 2).unit_points()
         norms = np.hypot(pts[:, 0], pts[:, 1])
         assert np.allclose(norms, 1.0, atol=1e-12)
+
+    def test_big_int_unit_points_are_unit(self):
+        # entries past ~1e154 overflow a plain float squared norm
+        A = construct(TargetSpec(kind=FULL_SPHERE, k=2), 110)
+        assert A.elements[-1] > 10**155
+        cloud = directions(A, 2)
+        pts = cloud.unit_points()
+        norms = np.hypot(pts[:, 0], pts[:, 1])
+        assert np.allclose(norms, 1.0, atol=1e-12)
+        # rows whose squared norm fits a float come out bit for bit as a
+        # plain float conversion gives them
+        fits = np.array([max(row) < 10**150 for row in cloud.rows])
+        plain = np.array([[float(c) for c in row] for row in cloud.rows])[fits]
+        want = plain / np.linalg.norm(plain, axis=1, keepdims=True)
+        assert fits.sum() > 1000 and np.array_equal(pts[fits], want)
 
 
 class TestSampling:
@@ -172,36 +196,6 @@ class TestSampling:
             assert row[0] != row[1]
 
 
-class TestAccumulation:
-    def test_tail_pairs(self):
-        A = explicit_ground_set([4, 5, 8, 9, 10])
-        cloud = accumulation_candidates(A, 2, 8)
-        assert cloud.as_set() == {
-            (8, 9),
-            (9, 8),
-            (4, 5),  # primitive form of (8, 10)
-            (5, 4),
-            (9, 10),
-            (10, 9),
-        }
-
-    def test_threshold_above_max_is_empty(self):
-        A = explicit_ground_set([4, 5, 8, 9, 10])
-        cloud = accumulation_candidates(A, 2, 11)
-        assert cloud.is_empty and cloud.count == 0
-
-    def test_threshold_must_be_positive(self):
-        A = explicit_ground_set([4, 5])
-        with pytest.raises(DomainError):
-            accumulation_candidates(A, 2, 0)
-
-    def test_distinct_always(self):
-        A = explicit_ground_set([3, 6, 7])
-        cloud = accumulation_candidates(A, 2, 1)
-        assert (1, 1) not in cloud.as_set()
-        assert (1, 2) in cloud.as_set()  # from (3, 6)
-
-
 class TestExport:
     def test_csv_layout(self, tmp_path):
         A = explicit_ground_set([1, 2])
@@ -222,9 +216,7 @@ class TestExport:
         body = path.read_text().splitlines()[1:]
         assert body == sorted(body, key=lambda r: [int(v) for v in r.split(",")])
 
-    def test_json_metadata(self, tmp_path):
-        import json
-
+    def test_json_metadata(self):
         A = ground_set("primes", 20)
         cloud = directions(A, 2, True)
         md = cloud_metadata(cloud)
@@ -237,9 +229,6 @@ class TestExport:
             "sampled": False,
             "count": cloud.count,
         }
-        path = tmp_path / "meta.json"
-        export_json(cloud, str(path))
-        assert json.loads(path.read_text()) == md
 
     def test_rerun_byte_identical(self, tmp_path):
         A = ground_set("naturals", 40)
