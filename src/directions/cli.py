@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
@@ -227,7 +228,7 @@ def _cmd_density(args) -> None:
         A, args.k, args.distinct, sample=args.sample, seed=args.seed
     )
     rep = covering_radius(cloud, sphere_net(args.k, args.h))
-    _emit(rep.to_dict(), args.out)
+    _emit(asdict(rep), args.out)
 
 
 def _cmd_ratio_gap(args) -> None:
@@ -296,7 +297,7 @@ def _cmd_construct(args) -> None:
         rep = verify_construction(
             A, spec, args.M, L, args.h, tolerance=args.tolerance
         )
-        doc["verification"] = rep.to_dict()
+        doc["verification"] = asdict(rep)
     _emit(doc, args.out)
 
 
@@ -317,8 +318,8 @@ def _cmd_chain(args) -> None:
     )
     _emit(
         {
-            "upper": top.to_dict(),
-            "lower": down.to_dict(),
+            "upper": asdict(top),
+            "lower": asdict(down),
             "chain_bound_holds": down.covering_radius
             <= top.covering_radius + 2 * args.h,
         },
@@ -327,8 +328,7 @@ def _cmd_chain(args) -> None:
 
 
 def _cmd_demo(args) -> None:
-    rep = repetition_demo(args.k, args.M)
-    _emit(rep.to_dict(), args.out)
+    _emit(asdict(repetition_demo(args.k, args.M)), args.out)
 
 
 def _cmd_net_audit(args) -> None:

@@ -242,10 +242,8 @@ def _distance_to_target(spec: TargetSpec, x: Sequence[float]) -> float:
 
 
 def _scale_ratio(m_small: int, m_big: int) -> float:
-    # m_small! / m_big!; underflow to 0.0 is the right limit here
-    if m_big - m_small > 170:
-        return 0.0
-    return 1.0 / prod(range(m_small + 1, m_big + 1))
+    # m_small! / m_big!; int/int division underflows to 0.0, never overflows
+    return 1 / prod(range(m_small + 1, m_big + 1))
 
 
 @dataclass(frozen=True)
@@ -272,20 +270,6 @@ class VerificationReport:
     L_index: int
     h: float
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "forward_hausdorff": self.forward_hausdorff,
-            "backward_hausdorff": self.backward_hausdorff,
-            "backward_max_residual": self.backward_max_residual,
-            "backward_violations": self.backward_violations,
-            "tail_tuple_count": self.tail_tuple_count,
-            "tail_cutoff": self.tail_cutoff,
-            "M": self.M,
-            "L_index": self.L_index,
-            "h": self.h,
-            "tolerance": self.tolerance,
-        }
 
 
 def verify_construction(
@@ -383,18 +367,6 @@ class RepetitionReport:
     tail_cutoff: int
     separation_sq_exact: str
     separation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "M": self.M,
-            "target_size": self.target_size,
-            "with_repetition_min_dist": self.with_repetition_min_dist,
-            "distinct_tail_min_dist": self.distinct_tail_min_dist,
-            "tail_cutoff": self.tail_cutoff,
-            "separation_sq_exact": self.separation_sq_exact,
-            "separation": self.separation,
-        }
 
 
 def repetition_demo(k: int, M: int) -> RepetitionReport:

@@ -19,6 +19,10 @@ from .errors import DomainError
 # Unit vectors are accepted as such when | ||x|| - 1 | is at most this.
 UNIT_NORM_TOL = 1e-12
 
+# Integers below 2^SCALE_BITS square to below 2^1000, so a sum of a few
+# such squares stays inside float range (2^1024).
+SCALE_BITS = 500
+
 FloatVec = tuple[float, ...]
 IntVec = tuple[int, ...]
 
@@ -27,11 +31,25 @@ def norm(v: Sequence[float]) -> float:
     return sqrt(fsum(c * c for c in v))
 
 
+def scaled_floats(v: Sequence[int]) -> list[float]:
+    """Floats for v, over 2^(bit_length - SCALE_BITS) past SCALE_BITS bits.
+
+    int/int division rounds correctly, so each entry converts exactly as
+    float(c) would, up to a power of two that normalization cancels.
+    """
+    d = 1 << max(0, max(v).bit_length() - SCALE_BITS)
+    return [c / d for c in v]
+
+
 def normalize(v: Sequence[float]) -> FloatVec:
     """v / ||v|| for a nonzero vector with nonnegative entries."""
     if any(c < 0 for c in v):
         raise DomainError(f"negative coordinate in {v!r}")
-    n = norm(v)
+    try:
+        n = norm(v)
+    except OverflowError:  # exact integer squares past float range
+        v = scaled_floats(v)
+        n = norm(v)
     if n == 0.0:
         raise DomainError("cannot normalize the zero vector")
     return tuple(c / n for c in v)

@@ -97,21 +97,8 @@ class DensityReport:
     N: int
     cloud_size: int
     cloud_rule: str
-    distinct_entries_only: bool
-    cloud_sampled: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "covering_radius": self.covering_radius,
-            "argmax_net_point": list(self.argmax_net_point),
-            "k": self.k,
-            "h": self.h,
-            "N": self.N,
-            "cloud_size": self.cloud_size,
-            "cloud_rule": self.cloud_rule,
-            "distinct": self.distinct_entries_only,
-            "sampled": self.cloud_sampled,
-        }
+    distinct: bool
+    sampled: bool
 
 
 def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
@@ -133,8 +120,8 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
         N=cloud.bound,
         cloud_size=cloud.count,
         cloud_rule=cloud.rule,
-        distinct_entries_only=cloud.distinct_entries_only,
-        cloud_sampled=cloud.sampled,
+        distinct=cloud.distinct_entries_only,
+        sampled=cloud.sampled,
     )
 
 
@@ -162,8 +149,9 @@ def ratio_gap(A: GroundSet, window_count: int) -> RatioGapStat:
         raise DomainError(
             f"|A| = {len(A.elements)} too small for {window_count} windows"
         )
-    elems = np.asarray(A.elements, dtype=np.float64)
-    ratios = elems[1:] / elems[:-1] - 1.0
+    # int/int division: correctly rounded at any integer size
+    e = A.elements
+    ratios = np.array([b / a for a, b in zip(e, e[1:])]) - 1.0
     blocks = np.array_split(ratios, window_count)
     windows = []
     trend = []
@@ -243,12 +231,10 @@ def chain_check(
     """
     if k < 3:
         raise DomainError("chain comparison needs k >= 3")
-    report_k = covering_radius(
-        directions(A, k, distinct_entries_only, sample=sample, seed=seed),
-        sphere_net(k, h),
+    return tuple(
+        covering_radius(
+            directions(A, d, distinct_entries_only, sample=sample, seed=seed),
+            sphere_net(d, h),
+        )
+        for d in (k, k - 1)
     )
-    report_km1 = covering_radius(
-        directions(A, k - 1, distinct_entries_only, sample=sample, seed=seed),
-        sphere_net(k - 1, h),
-    )
-    return report_k, report_km1

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .core import scaled_floats
 from .errors import DomainError, ResourceError
 
 DEFAULT_BUDGET = 10**8
@@ -77,11 +78,6 @@ class GroundSet:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def max(self) -> int:
-        if not self.elements:
-            raise DomainError("empty ground set has no maximum")
-        return self.elements[-1]
 
 
 def _sieve_primes(n: int) -> list[int]:
@@ -194,19 +190,8 @@ class DirectionCloud:
         if isinstance(self.rows, np.ndarray):
             pts = self.rows.astype(np.float64)
         else:
-            pts = np.array([_scaled_floats(row) for row in self.rows])
+            pts = np.array([scaled_floats(row) for row in self.rows])
         return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _scaled_floats(row: tuple[int, ...]) -> list[float]:
-    """The row over a power of two that keeps its squared norm finite.
-
-    int/int division rounds correctly, so a row below 2^60 converts
-    exactly as float(c) would, and a larger one only by a power of two
-    more, which normalization cancels.
-    """
-    d = 1 << max(0, max(row).bit_length() - 60)
-    return [c / d for c in row]
 
 
 def _distinct_mask(cols: np.ndarray) -> np.ndarray:
@@ -217,42 +202,31 @@ def _distinct_mask(cols: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _reduce_rows(rows: np.ndarray) -> np.ndarray:
-    g = np.gcd.reduce(rows, axis=1)
-    return rows // g[:, None]
-
-
-def _exhaustive_numpy(
-    elems: np.ndarray, k: int, distinct: bool
-) -> np.ndarray:
-    n = len(elems)
+def _index_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """All n^k index tuples in lexicographic order, _CHUNK rows at a time."""
     total = n**k
-    shape = (n,) * k
-    pieces = []
     for start in range(0, total, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        idx = np.unravel_index(flat, shape)
-        rows = elems[np.stack(idx, axis=1)]
+        yield np.stack(np.unravel_index(flat, (n,) * k), axis=1)
+
+
+def _reduce_numpy(
+    elems: np.ndarray, k: int, distinct: bool, blocks: Iterable[np.ndarray]
+) -> np.ndarray:
+    """Sorted distinct primitive forms of the tuples the index blocks pick."""
+    pieces = []
+    for idx in blocks:
+        rows = elems[idx]
         if distinct:
             rows = rows[_distinct_mask(rows)]
         if len(rows):
-            pieces.append(np.unique(_reduce_rows(rows), axis=0))
+            rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
+            pieces.append(np.unique(rows, axis=0))
     if not pieces:
         return np.zeros((0, k), dtype=np.int64)
+    if len(pieces) == 1:
+        return pieces[0]
     return np.unique(np.concatenate(pieces), axis=0)
-
-
-def _sampled_numpy(
-    elems: np.ndarray, k: int, distinct: bool, sample: int, seed: int
-) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(elems), size=(sample, k))
-    rows = elems[idx]
-    if distinct:
-        rows = rows[_distinct_mask(rows)]
-    if len(rows) == 0:
-        return np.zeros((0, k), dtype=np.int64)
-    return np.unique(_reduce_rows(rows), axis=0)
 
 
 def _reduce_python(
@@ -304,11 +278,14 @@ def directions(
     if n == 0 or (distinct_entries_only and n < k):
         rows: object = np.zeros((0, k), dtype=np.int64)
     elif elems[-1] < _INT64_LIMIT:
-        arr = np.asarray(elems, dtype=np.int64)
         if sample is None:
-            rows = _exhaustive_numpy(arr, k, distinct_entries_only)
+            blocks = _index_blocks(n, k)
         else:
-            rows = _sampled_numpy(arr, k, distinct_entries_only, sample, seed)
+            rng = np.random.default_rng(seed)
+            blocks = [rng.integers(0, n, size=(sample, k))]
+        rows = _reduce_numpy(
+            np.asarray(elems, dtype=np.int64), k, distinct_entries_only, blocks
+        )
     else:
         if sample is None:
             tuples = product(elems, repeat=k)

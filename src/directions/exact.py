@@ -119,12 +119,6 @@ class Surd:
         inv = Surd(Fraction(1, 1) / (other.q * other.r), other.r)
         return self * inv
 
-    def scaled(self, c: Fraction | int) -> "Surd":
-        c = Fraction(c)
-        if c == 0:
-            return Surd(Fraction(0), 1)
-        return Surd(self.q * c, self.r)
-
     def square(self) -> Fraction:
         return self.q * self.q * self.r
 

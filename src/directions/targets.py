@@ -64,10 +64,6 @@ class TargetPoint:
         return TargetPoint(tuple(Surd.of(e) for e in entries))
 
     @staticmethod
-    def from_rationals(*entries: Fraction | int | str) -> "TargetPoint":
-        return TargetPoint(tuple(Surd.of(Fraction(e)) for e in entries))
-
-    @staticmethod
     def from_qr(pairs: Sequence[tuple[Fraction | int | str, int]]) -> "TargetPoint":
         return TargetPoint(tuple(Surd.of(Fraction(q), r) for q, r in pairs))
 
@@ -184,9 +180,6 @@ class TargetSpec:
             if p.k != self.k:
                 raise DomainError("point dimension does not match spec")
 
-    def point_keys(self) -> set[PointKey]:
-        return {p.key() for p in self.points}
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -262,7 +255,7 @@ def validate_target(spec: TargetSpec) -> ValidityReport:
             ((None, "custom enumerator carries no closure certificate"),),
             "unverifiable",
         )
-    keys = spec.point_keys()
+    keys = {p.key() for p in spec.points}
     witnesses: list[tuple[TargetPoint | None, str]] = []
     failed: set[str] = set()
     for p in spec.points:

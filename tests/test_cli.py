@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import directions
 from directions.cli import main
 
 
@@ -55,8 +59,11 @@ class TestExitCodes:
 
     def test_process_exit_code(self):
         # the module entry point maps usage errors to 64 at process level
+        src = str(Path(directions.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "directions.cli", "nonsense"],
+            env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
         )
         assert proc.returncode == 64
@@ -194,6 +201,37 @@ class TestReports:
         assert doc["upper"]["k"] == 3
         assert doc["lower"]["k"] == 2
 
+    def test_chain_rule(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "chain", "--rule", "naturals", "--N", "30", "--k", "3", "--h", "0.2",
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["upper"]["k"], doc["lower"]["k"]) == (3, 2)
+        assert doc["upper"]["cloud_rule"] == "naturals"
+        assert doc["upper"]["N"] == doc["lower"]["N"] == 30
+        assert doc["chain_bound_holds"] is True
+
+    def test_verify_past_float_range(self, capsys):
+        # step-110 elements pass 10^178; their squares overflow a float
+        code, out, _ = run(
+            capsys,
+            "verify", "--builtin", "orthant-sphere-full", "--k", "2",
+            "--M", "110", "--L", "108",
+        )
+        assert code == 0
+        assert json.loads(out)["verification"]["backward_violations"] == 0
+
+    def test_ratio_gap_past_float_range(self, capsys):
+        elements = [10**400 + i * 10**398 for i in range(8)]
+        code, out, _ = run(
+            capsys, "ratio-gap", "--elements", ",".join(map(str, elements))
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["trend"] == pytest.approx([1 / 100, 1 / 102, 1 / 104, 1 / 106])
+
     def test_demo_values(self, capsys):
         code, out, _ = run(capsys, "demo-repetition", "--k", "3", "--M", "10")
         doc = json.loads(out)
@@ -220,6 +258,48 @@ class TestArtifacts:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "c0,c1"
         assert len(lines) == 6  # header + 5 directions
+
+    def test_enumerate_unit_csv(self, tmp_path, capsys):
+        unit_csv = tmp_path / "unit.csv"
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--rule", "naturals", "--N", "6", "--k", "3",
+            "--unit-out", str(unit_csv),
+        )
+        assert code == 0
+        lines = unit_csv.read_text().splitlines()
+        assert lines[0] == "x0,x1,x2"
+        assert len(lines) - 1 == json.loads(out)["count"]
+        for line in lines[1:]:
+            x = [float(v) for v in line.split(",")]
+            assert math.isclose(math.hypot(*x), 1.0, abs_tol=1e-12)
+
+    def test_sampled_enumerate_metadata(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--rule", "primes", "--N", "100", "--k", "3",
+            "--sample", "500", "--seed", "4",
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["sampled"] is True
+        assert (doc["sample_size"], doc["seed"]) == (500, 4)
+
+    def test_ratio_gap_trend_csv(self, tmp_path, capsys):
+        trend_csv = tmp_path / "trend.csv"
+        code, out, _ = run(
+            capsys,
+            "ratio-gap", "--rule", "primes", "--N", "1000", "--windows", "5",
+            "--trend-out", str(trend_csv),
+        )
+        doc = json.loads(out)
+        assert code == 0
+        lines = trend_csv.read_text().splitlines()
+        assert lines[0] == "window,first_index,last_index,max_gap"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(5))
+        assert [[int(r[1]), int(r[2])] for r in rows] == doc["windows"]
+        assert [float(r[3]) for r in rows] == doc["trend"]
 
     def test_construct_dump(self, tmp_path, capsys):
         dump = tmp_path / "trace.jsonl"

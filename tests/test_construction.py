@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import directions
 
 from directions.construction import (
     ConstructionState,
+    _scale_ratio,
     construct,
     construct_step,
     dump_construction,
@@ -304,7 +306,7 @@ class TestVerify:
     def test_report_dict(self):
         A = construct(CLOSURE_12, 12)
         rep = verify_construction(A, CLOSURE_12, 12, 6, 0.05)
-        d = rep.to_dict()
+        d = asdict(rep)
         for key in (
             "forward_hausdorff",
             "backward_hausdorff",
@@ -318,6 +320,11 @@ class TestVerify:
             "tolerance",
         ):
             assert key in d
+
+    def test_scale_ratio_underflows(self):
+        # 150!/300! is far below float range and rounds to 0.0
+        assert _scale_ratio(150, 300) == 0.0
+        assert _scale_ratio(3, 5) == 1 / 20
 
     def test_tail_budget(self, monkeypatch):
         monkeypatch.setenv("DIRECTIONS_BUDGET", "100")

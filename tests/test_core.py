@@ -28,6 +28,13 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize((1.0, -2.0))
 
+    def test_past_float_range(self):
+        # squares of 10^400-scale entries overflow a float
+        x = normalize((3 * 10**400, 4 * 10**400, 10**400))
+        assert is_unit(x)
+        want = tuple(c / math.sqrt(26) for c in (3, 4, 1))
+        assert x == pytest.approx(want, abs=1e-15)
+
     def test_norm_is_stable_sum(self):
         assert norm((3, 4)) == 5.0
         assert norm((1,) * 4) == 2.0

@@ -1,6 +1,7 @@
 """Sphere nets, covering radii, ratio gaps, witness tuples."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestCoveringRadius:
         net = sphere_net(2, 0.05)
         cloud = directions(ground_set("primes", 50), 2)
         rep = covering_radius(cloud, net)
-        d = rep.to_dict()
+        d = asdict(rep)
         assert d["k"] == 2 and d["h"] == 0.05
         assert d["cloud_rule"] == "primes" and d["N"] == 50
         assert d["distinct"] is False and d["sampled"] is False
