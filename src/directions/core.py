@@ -31,13 +31,13 @@ def norm(v: Sequence[float]) -> float:
     return sqrt(fsum(c * c for c in v))
 
 
-def scaled_floats(v: Sequence[int]) -> list[float]:
+def scaled_floats(v: Sequence[float]) -> list[float]:
     """Floats for v, over 2^(bit_length - SCALE_BITS) past SCALE_BITS bits.
 
-    int/int division rounds correctly, so each entry converts exactly as
-    float(c) would, up to a power of two that normalization cancels.
+    int/int division rounds correctly and float/2^j is exact, so each entry
+    converts as float(c) would, up to a power of two normalization cancels.
     """
-    d = 1 << max(0, max(v).bit_length() - SCALE_BITS)
+    d = 1 << max(0, int(max(v)).bit_length() - SCALE_BITS)
     return [c / d for c in v]
 
 
@@ -47,7 +47,7 @@ def normalize(v: Sequence[float]) -> FloatVec:
         raise DomainError(f"negative coordinate in {v!r}")
     try:
         n = norm(v)
-    except OverflowError:  # exact integer squares past float range
+    except OverflowError:  # a sum of squares past float range
         v = scaled_floats(v)
         n = norm(v)
     if n == 0.0:

@@ -28,9 +28,11 @@ class TestNormalize:
         with pytest.raises(DomainError):
             normalize((1.0, -2.0))
 
-    def test_past_float_range(self):
-        # squares of 10^400-scale entries overflow a float
-        x = normalize((3 * 10**400, 4 * 10**400, 10**400))
+    @pytest.mark.parametrize("scale", [10**400, 3e153])
+    def test_past_float_range(self, scale):
+        # the sum of squares overflows a float: 10^400-scale integers, and
+        # floats whose squares are finite but whose sum is not
+        x = normalize((3 * scale, 4 * scale, scale))
         assert is_unit(x)
         want = tuple(c / math.sqrt(26) for c in (3, 4, 1))
         assert x == pytest.approx(want, abs=1e-15)
