@@ -32,10 +32,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod, sqrt
+from math import factorial, inf, prod, sqrt
 from typing import Sequence
 
-from .core import distance, normalize, primitive
+from .core import FloatVec, distance, normalize, primitive
 from .enumeration import GroundSet, budget
 from .errors import CertificateError, DomainError, ResourceError
 from .exact import SurdSum, sqrt_floor
@@ -46,7 +46,6 @@ from .targets import (
     TargetSpec,
     _coord_to_json,
     dense_prefix,
-    enumerate_dense,
     validate_target,
 )
 
@@ -133,15 +132,14 @@ def _check_step_certificates(
 
 
 def construct_step(
-    spec: TargetSpec, m: int, state: ConstructionState
+    point: TargetPoint, m: int, state: ConstructionState
 ) -> tuple[int, ...]:
-    """Produce the step-m tuple and fold it into the state."""
+    """Realize the step-m target point and fold the tuple into the state."""
     if m != state.steps_done + 1:
         raise DomainError(
             f"steps must run in order; expected {state.steps_done + 1}, got {m}"
         )
-    point = enumerate_dense(spec, m)
-    k = spec.k
+    k = point.k
     floors = tuple(factorial_floor(point, i, m).value for i in range(k))
     pre: list[int] = []
     offsets: list[int] = []
@@ -180,18 +178,21 @@ def construct_step(
     return values
 
 
+def _require_valid(spec: TargetSpec) -> None:
+    report = validate_target(spec)
+    if not report.passed:
+        point, reason = report.witnesses[0]
+        raise DomainError(f"inadmissible target spec: {reason} of {point!r}")
+
+
 def construct(spec: TargetSpec, M: int) -> GroundSet:
     """Run M construction steps and merge the entries into a ground set."""
     if M < 0:
         raise DomainError("step count must be >= 0")
-    report = validate_target(spec)
-    if not report.passed:
-        raise DomainError(
-            f"refusing to construct from a {report.verdict} target spec"
-        )
+    _require_valid(spec)
     state = ConstructionState()
-    for m in range(1, M + 1):
-        construct_step(spec, m, state)
+    for m, point in enumerate(dense_prefix(spec, M), start=1):
+        construct_step(point, m, state)
     elements = tuple(sorted(state.provenance))
     return GroundSet(
         rule=f"constructed-{spec.kind}",
@@ -227,18 +228,14 @@ def _hyperplane_distance(x: Sequence[float]) -> float:
     return sqrt(max(0.0, 2.0 - 2.0 * sqrt(max(0.0, 1.0 - small * small))))
 
 
-def _distance_to_target(spec: TargetSpec, x: Sequence[float]) -> float:
+def _distance_to_target(
+    spec: TargetSpec, point_units: Sequence[FloatVec], x: Sequence[float]
+) -> float:
     if spec.kind == FULL_SPHERE:
         return 0.0
     if spec.kind == HYPERPLANE:
         return _hyperplane_distance(x)
-    best = None
-    for p in spec.points:
-        d = distance(x, p.unit())
-        if best is None or d < best:
-            best = d
-    assert best is not None
-    return best
+    return min(distance(x, u) for u in point_units)
 
 
 def _scale_ratio(m_small: int, m_big: int) -> float:
@@ -280,7 +277,7 @@ def verify_construction(
     h: float,
     tolerance: float = 1e-3,
 ) -> VerificationReport:
-    from itertools import permutations, product
+    from itertools import combinations, product
 
     if not A.steps or A.provenance is None:
         raise DomainError("ground set carries no construction trace")
@@ -288,6 +285,7 @@ def verify_construction(
         raise DomainError(f"construction has only {len(A.steps)} steps")
     if not 1 <= L_index < M:
         raise DomainError("need 1 <= L_index < M")
+    _require_valid(spec)
     k = len(A.steps[0].values)
 
     step_dirs = [normalize(rec.values) for rec in A.steps[:M]]
@@ -305,34 +303,32 @@ def verify_construction(
         raise ResourceError(
             f"{count} tail tuples exceed the budget {budget()}"
         )
-    targets = {rec.step: rec.target for rec in A.steps[:M]}
+    # residuals and target distances are symmetric in the tuple (fsum is
+    # order-free and the spec is permutation-closed), so one ordering of
+    # each tuple stands for all k! of them
+    units = {rec.step: rec.target.unit() for rec in A.steps[:M]}
+    point_units = [p.unit() for p in spec.points]
     back_haus = 0.0
     back_residual = 0.0
     violations = 0
-    for tup in permutations(tail, k):
+    for tup in combinations(tail, k):
         actual = normalize(tup)
         origins = [
             [(i, m) for i, m in A.provenance[e] if m <= M] for e in tup
         ]
         if any(not o for o in origins):
             raise DomainError("tail element has no in-range provenance")
-        best = None
+        best = inf
         for pick in product(*origins):
             m_big = max(m for _, m in pick)
             pred = normalize(
-                tuple(
-                    targets[m].unit()[i] * _scale_ratio(m, m_big)
-                    for i, m in pick
-                )
+                tuple(units[m][i] * _scale_ratio(m, m_big) for i, m in pick)
             )
-            d = distance(actual, pred)
-            if best is None or d < best:
-                best = d
-        assert best is not None
+            best = min(best, distance(actual, pred))
         back_residual = max(back_residual, best)
         if best > tolerance:
-            violations += 1
-        back_haus = max(back_haus, _distance_to_target(spec, actual))
+            violations += factorial(k)
+        back_haus = max(back_haus, _distance_to_target(spec, point_units, actual))
     return VerificationReport(
         forward_hausdorff=forward,
         backward_hausdorff=back_haus,

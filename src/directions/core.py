@@ -11,7 +11,7 @@ Coordinate indices are 0-based everywhere in this package.
 
 from __future__ import annotations
 
-from math import fsum, gcd, sqrt
+from math import fsum, gcd, inf, sqrt
 from typing import Sequence
 
 from .errors import DomainError
@@ -47,7 +47,11 @@ def normalize(v: Sequence[float]) -> FloatVec:
         raise DomainError(f"negative coordinate in {v!r}")
     try:
         n = norm(v)
-    except OverflowError:  # a sum of squares past float range
+    except OverflowError:  # int squares, or a sum of float squares, too big
+        n = inf
+    if n == inf or n != n:  # a float square overflowed, or an entry is inf/nan
+        if any(c == inf or c != c for c in v):
+            raise DomainError(f"non-finite coordinate in {v!r}")
         v = scaled_floats(v)
         n = norm(v)
     if n == 0.0:

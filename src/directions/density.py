@@ -142,6 +142,16 @@ class RatioGapStat:
         return max(self.trend)
 
 
+def _ratio(e: Sequence[int], n: int) -> float:
+    """a_{n+1} / a_n with 1-based a_n = e[n - 1], correctly rounded."""
+    try:
+        return e[n] / e[n - 1]  # int/int division rounds correctly
+    except OverflowError:
+        raise DomainError(
+            f"consecutive ratio a_{n + 1} / a_{n} is past float range"
+        ) from None
+
+
 def ratio_gap(A: GroundSet, window_count: int) -> RatioGapStat:
     if window_count < 1:
         raise DomainError("need at least one window")
@@ -149,9 +159,8 @@ def ratio_gap(A: GroundSet, window_count: int) -> RatioGapStat:
         raise DomainError(
             f"|A| = {len(A.elements)} too small for {window_count} windows"
         )
-    # int/int division: correctly rounded at any integer size
     e = A.elements
-    ratios = np.array([b / a for a, b in zip(e, e[1:])]) - 1.0
+    ratios = np.array([_ratio(e, n) for n in range(1, len(e))]) - 1.0
     blocks = np.array_split(ratios, window_count)
     windows = []
     trend = []
@@ -185,10 +194,10 @@ def witness_tuple(
         raise DomainError("x must be a unit vector")
     if not A.elements:
         raise DomainError("empty ground set")
-    lower = A.elements[0] / min(x)
-    if m < lower:
+    # int-float comparison is exact, so this holds at any element size
+    if m * min(x) < A.elements[0]:
         raise DomainError(
-            f"m = {m} is below the admissible bound {lower:.3f} for this x"
+            f"m = {m} is below a_1 / min(x) for a_1 = {A.elements[0]}"
         )
     picks = []
     ratios = []
@@ -200,11 +209,11 @@ def witness_tuple(
                 f"no element above {threshold:.3f}; "
                 f"the prefix bound {A.bound} is too small for m = {m}"
             )
-        # m >= a_1/min(x) puts a_1 at or below every threshold
+        # m * min(x) >= a_1 puts a_1 at or below every threshold
         if j < 1 or not A.elements[j - 1] <= threshold < A.elements[j]:
             raise CertificateError(f"sandwich broke at threshold {threshold}")
         picks.append(A.elements[j])
-        ratios.append(A.elements[j] / A.elements[j - 1])
+        ratios.append(_ratio(A.elements, j))
     err = distance(normalize(picks), x)
     bound = 2.0 * sqrt(k) * (max(ratios) - 1.0)
     if err > bound + 1e-12:

@@ -1,9 +1,8 @@
 """Candidate accumulation sets on the orthant sphere.
 
 A target set is described either by finitely many exact points (coordinates
-q*sqrt(r)), by one of two built-in infinite families (the full orthant sphere
-and the union of coordinate hyperplanes), or by a user-supplied enumerator
-that is accepted but never certified.
+q*sqrt(r)) or by one of two built-in infinite families (the full orthant
+sphere and the union of coordinate hyperplanes).
 
 Admissibility of a finite set means: closed under coordinate permutations
 and closed under zero-out-and-renormalize for every index set that meets the
@@ -20,11 +19,11 @@ change between releases.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import count, cycle, islice, permutations
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import FloatVec, normalize
 from .errors import DomainError
@@ -33,9 +32,7 @@ from .exact import Surd, SurdSum
 FINITE = "finite-set"
 FULL_SPHERE = "orthant-sphere-full"
 HYPERPLANE = "hyperplane-boundary"
-CUSTOM = "custom-enumerated"
-
-_KINDS = (FINITE, FULL_SPHERE, HYPERPLANE, CUSTOM)
+_KINDS = (FINITE, FULL_SPHERE, HYPERPLANE)
 
 # (numerator, denominator, radicand) triples of coordinates scaled by the
 # first nonzero coordinate; equal keys iff equal directions.
@@ -163,9 +160,6 @@ class TargetSpec:
     kind: str
     k: int
     points: tuple[TargetPoint, ...] = ()
-    enumerator: Callable[[int], TargetPoint] | None = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -174,8 +168,6 @@ class TargetSpec:
             raise DomainError("dimension must be >= 2")
         if self.kind == FINITE and not self.points:
             raise DomainError("finite-set spec needs at least one point")
-        if self.kind == CUSTOM and self.enumerator is None:
-            raise DomainError("custom-enumerated spec needs an enumerator")
         for p in self.points:
             if p.k != self.k:
                 raise DomainError("point dimension does not match spec")
@@ -186,8 +178,8 @@ class ValidityReport:
     closed_ok: bool
     permutation_ok: bool
     projection_ok: bool
-    witnesses: tuple[tuple[TargetPoint | None, str], ...]
-    verdict: str  # "valid" | "invalid" | "unverifiable"
+    witnesses: tuple[tuple[TargetPoint, str], ...]
+    verdict: str  # "valid" | "invalid"
 
     @property
     def passed(self) -> bool:
@@ -247,16 +239,8 @@ def validate_target(spec: TargetSpec) -> ValidityReport:
     """Check admissibility exactly; built-in kinds pass by proof."""
     if spec.kind in (FULL_SPHERE, HYPERPLANE):
         return ValidityReport(True, True, True, (), "valid")
-    if spec.kind == CUSTOM:
-        return ValidityReport(
-            False,
-            False,
-            False,
-            ((None, "custom enumerator carries no closure certificate"),),
-            "unverifiable",
-        )
     keys = {p.key() for p in spec.points}
-    witnesses: list[tuple[TargetPoint | None, str]] = []
+    witnesses: list[tuple[TargetPoint, str]] = []
     failed: set[str] = set()
     for p in spec.points:
         for q, kind, indices in _orbit(p):
@@ -311,8 +295,6 @@ def _dense_sequence(spec: TargetSpec) -> Iterator[TargetPoint]:
     """The spec's dense sequence, from its first point on."""
     if spec.kind == FINITE:
         return cycle(spec.points)
-    if spec.kind == CUSTOM:
-        return map(spec.enumerator, count(1))
     return _orthant_directions(spec.k, need_zero=spec.kind == HYPERPLANE)
 
 
@@ -339,8 +321,6 @@ def _coord_from_json(obj: dict) -> Surd:
 
 
 def save_spec(spec: TargetSpec, path: str) -> None:
-    if spec.kind == CUSTOM:
-        raise DomainError("custom enumerators cannot be serialized")
     doc = {
         "k": spec.k,
         "kind": spec.kind,

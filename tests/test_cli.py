@@ -13,6 +13,11 @@ import directions
 from directions.cli import main
 
 
+# five elements near 10^400, and a consecutive ratio of 10^400 / 3
+HUGE_FIVE = ",".join(str(10**400 + i) for i in range(5))
+HUGE_RATIO = "1,2,3," + str(10**400)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -87,8 +92,41 @@ class TestBadInput:
                 '{"kind": "finite-set", "generators": [[{"q": "1", "r": 1}]]}',
                 1,
             ),
+            (
+                ["witness", "--rule", "naturals", "--N", "100",
+                 "--x", "inf,1", "--m", "10"],
+                None,
+                1,
+            ),
+            (
+                ["witness", "--elements", HUGE_FIVE, "--x", "0.6,0.8",
+                 "--m", "5"],
+                None,
+                1,
+            ),
+            (
+                ["witness", "--elements", HUGE_RATIO, "--x", "0.6,0.8",
+                 "--m", "5"],
+                None,
+                1,
+            ),
+            (
+                ["ratio-gap", "--elements", HUGE_RATIO, "--windows", "2"],
+                None,
+                1,
+            ),
         ],
-        ids=["elements", "x", "missing-spec", "malformed-spec", "spec-without-k"],
+        ids=[
+            "elements",
+            "x",
+            "missing-spec",
+            "malformed-spec",
+            "spec-without-k",
+            "x-inf",
+            "witness-elements-past-float-range",
+            "witness-ratio-past-float-range",
+            "ratio-gap-ratio-past-float-range",
+        ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):
         spec = tmp_path / "spec.json"
@@ -161,6 +199,18 @@ class TestReports:
         )
         assert code == 0
         assert json.loads(out)["x"] == [0.6, 0.8]
+
+    def test_witness_huge_x(self, capsys):
+        # the squares of these coordinates overflow a float
+        code, out, _ = run(
+            capsys,
+            "witness", "--rule", "naturals", "--N", "100000",
+            "--x", "3e154,4e154", "--m", "1000",
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["x"] == pytest.approx([0.6, 0.8], abs=1e-15)
+        assert doc["witness"] == [601, 801]
 
     def test_construct_with_verify(self, capsys):
         code, out, _ = run(

@@ -28,19 +28,16 @@ from directions.construction import (
 from directions.core import normalize, primitive
 from directions.errors import DomainError, ResourceError
 from directions.targets import (
-    CUSTOM,
+    FINITE,
     FULL_SPHERE,
     HYPERPLANE,
     TargetPoint,
     TargetSpec,
     close_generators,
+    dense_prefix,
 )
 
 from oracles import mp_floor_scaled
-
-
-def custom(k, seq):
-    return TargetSpec(kind=CUSTOM, k=k, enumerator=lambda m: seq[m - 1])
 
 
 CLOSURE_12 = close_generators([TargetPoint.from_ints(1, 2)])
@@ -91,9 +88,8 @@ class TestFactorialFloor:
 class TestConstructStep:
     def test_offset_collision_resolved(self):
         # floors (0, 0): second coordinate must step past the first
-        spec = custom(2, [TargetPoint.from_ints(3, 2)])
         state = ConstructionState()
-        got = construct_step(spec, 1, state)
+        got = construct_step(TargetPoint.from_ints(3, 2), 1, state)
         rec = state.records[0]
         assert rec.floors == (0, 0)
         assert rec.offsets == (1, 2)
@@ -102,53 +98,46 @@ class TestConstructStep:
 
     def test_ratio_collision_bumps_t(self):
         # second step lands on the registered leading ratio, so t moves to 2
-        spec = custom(
-            2, [TargetPoint.from_ints(3, 2), TargetPoint.from_ints(2, 4)]
-        )
         state = ConstructionState()
-        assert construct_step(spec, 1, state) == (2, 3)
-        assert construct_step(spec, 2, state) == (3, 4)
+        assert construct_step(TargetPoint.from_ints(3, 2), 1, state) == (2, 3)
+        assert construct_step(TargetPoint.from_ints(2, 4), 2, state) == (3, 4)
         assert state.records[1].tie_break == 2
         assert state.records[1].floors == (0, 1)
 
     def test_fresh_ratio_keeps_t1(self):
-        spec = custom(
-            2, [TargetPoint.from_ints(2, 3), TargetPoint.from_ints(3, 4)]
-        )
         state = ConstructionState()
-        assert construct_step(spec, 1, state) == (2, 3)
-        assert construct_step(spec, 2, state) == (3, 4)
+        assert construct_step(TargetPoint.from_ints(2, 3), 1, state) == (2, 3)
+        assert construct_step(TargetPoint.from_ints(3, 4), 2, state) == (3, 4)
         assert state.records[1].tie_break == 1
 
     def test_entries_always_distinct(self):
         spec = TargetSpec(kind=FULL_SPHERE, k=3)
         state = ConstructionState()
-        for m in range(1, 13):
-            values = construct_step(spec, m, state)
+        for m, point in enumerate(dense_prefix(spec, 12), start=1):
+            values = construct_step(point, m, state)
             assert len(set(values)) == 3
 
     def test_leading_ratios_injective(self):
         spec = TargetSpec(kind=HYPERPLANE, k=3)
         state = ConstructionState()
         seen = set()
-        for m in range(1, 13):
-            v = construct_step(spec, m, state)
+        for m, point in enumerate(dense_prefix(spec, 12), start=1):
+            v = construct_step(point, m, state)
             lead = primitive((v[0], v[1]))
             assert lead not in seen
             seen.add(lead)
 
     def test_steps_must_run_in_order(self):
-        spec = custom(2, [TargetPoint.from_ints(1, 2)] * 5)
         state = ConstructionState()
         with pytest.raises(DomainError):
-            construct_step(spec, 2, state)
+            construct_step(TargetPoint.from_ints(1, 2), 2, state)
 
     def test_floor_plus_offset_window(self):
         # every entry sits within k + m of the scaled target coordinate
         spec = TargetSpec(kind=FULL_SPHERE, k=2)
         state = ConstructionState()
-        for m in range(1, 11):
-            v = construct_step(spec, m, state)
+        for m, point in enumerate(dense_prefix(spec, 10), start=1):
+            v = construct_step(point, m, state)
             rec = state.records[-1]
             for i in (0, 1):
                 assert 0 < v[i] - rec.floors[i] <= 2 + m
@@ -227,14 +216,7 @@ class TestConstruct:
         A = construct(CLOSURE_12, 0)
         assert A.elements == ()
 
-    def test_refuses_custom_spec(self):
-        spec = custom(2, [TargetPoint.from_ints(1, 2)] * 3)
-        with pytest.raises(DomainError):
-            construct(spec, 3)
-
     def test_refuses_invalid_spec(self):
-        from directions.targets import FINITE
-
         bad = TargetSpec(
             kind=FINITE,
             k=2,
@@ -302,6 +284,47 @@ class TestVerify:
         assert rep.forward_hausdorff < 1e-6
         assert rep.backward_violations == 0
         assert rep.tail_tuple_count == 7980
+
+    @pytest.mark.parametrize(
+        "spec, tolerance, violations, tuples, residual",
+        [
+            (CLOSURE_12, 1e-12, 70, 240, 7.394404026590765e-08),
+            (
+                TargetSpec(kind=HYPERPLANE, k=3),
+                1e-9,
+                78,
+                7980,
+                3.7451130831656656e-08,
+            ),
+            (
+                close_generators(
+                    [TargetPoint.from_qr([(1, 1), (1, 2), (0, 1)])]
+                ),
+                1e-9,
+                60,
+                4896,
+                9.636164355985242e-08,
+            ),
+        ],
+        ids=["closure-1-2", "hyperplane-k3", "closure-1-sqrt2-0"],
+    )
+    def test_frozen_violation_counts(
+        self, spec, tolerance, violations, tuples, residual
+    ):
+        # values of the all-orderings walk: each violating tuple counts k!
+        A = construct(spec, 20)
+        rep = verify_construction(A, spec, 20, 10, 0.05, tolerance=tolerance)
+        assert rep.backward_violations == violations
+        assert rep.tail_tuple_count == tuples
+        assert rep.backward_max_residual == residual
+
+    def test_refuses_invalid_spec(self):
+        # {(1, 2)} alone is not permutation-closed; the tuple-order
+        # symmetry the backward pass relies on does not hold for it
+        A = construct(CLOSURE_12, 20)
+        bad = TargetSpec(kind=FINITE, k=2, points=(TargetPoint.from_ints(1, 2),))
+        with pytest.raises(DomainError):
+            verify_construction(A, bad, 20, 10, 0.05)
 
     def test_report_dict(self):
         A = construct(CLOSURE_12, 12)

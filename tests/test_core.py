@@ -37,6 +37,15 @@ class TestNormalize:
         want = tuple(c / math.sqrt(26) for c in (3, 4, 1))
         assert x == pytest.approx(want, abs=1e-15)
 
+    def test_huge_floats(self):
+        # each square overflows to inf without an exception
+        assert normalize((3e154, 4e154)) == pytest.approx((0.6, 0.8), abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            normalize((bad, 1.0))
+
     def test_norm_is_stable_sum(self):
         assert norm((3, 4)) == 5.0
         assert norm((1,) * 4) == 2.0

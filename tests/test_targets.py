@@ -10,7 +10,6 @@ from scipy.spatial import cKDTree
 from directions.density import sphere_net
 from directions.errors import DomainError
 from directions.targets import (
-    CUSTOM,
     FINITE,
     FULL_SPHERE,
     HYPERPLANE,
@@ -211,16 +210,6 @@ class TestValidate:
         assert validate_target(sym).passed
         assert not validate_target(asym).passed
 
-    def test_custom_is_unverifiable(self):
-        spec = TargetSpec(
-            kind=CUSTOM,
-            k=2,
-            enumerator=lambda m: TargetPoint.from_ints(1, m),
-        )
-        rep = validate_target(spec)
-        assert rep.verdict == "unverifiable"
-        assert not rep.passed
-
 
 class TestEnumeration:
     def test_orthant_k2_head(self):
@@ -268,14 +257,6 @@ class TestEnumeration:
         n = len(order)
         for m in range(1, 3 * n + 1):
             assert enumerate_dense(spec, m).key() == order[(m - 1) % n].key()
-
-    def test_custom_delegates(self):
-        spec = TargetSpec(
-            kind=CUSTOM,
-            k=2,
-            enumerator=lambda m: TargetPoint.from_ints(1, m),
-        )
-        assert enumerate_dense(spec, 7).key() == TargetPoint.from_ints(1, 7).key()
 
     def test_dense_prefix_matches_pointwise(self):
         s = TargetSpec(kind=HYPERPLANE, k=3)
@@ -329,15 +310,6 @@ class TestSpecIO:
         back = load_spec(str(path))
         assert len(back.points) == 4
 
-    def test_custom_not_serializable(self, tmp_path):
-        spec = TargetSpec(
-            kind=CUSTOM,
-            k=2,
-            enumerator=lambda m: TargetPoint.from_ints(1, m),
-        )
-        with pytest.raises(DomainError):
-            save_spec(spec, str(tmp_path / "x.json"))
-
 
 class TestSpecValidation:
     def test_unknown_kind(self):
@@ -351,10 +323,6 @@ class TestSpecValidation:
     def test_finite_needs_points(self):
         with pytest.raises(DomainError):
             TargetSpec(kind=FINITE, k=2)
-
-    def test_custom_needs_enumerator(self):
-        with pytest.raises(DomainError):
-            TargetSpec(kind=CUSTOM, k=2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
