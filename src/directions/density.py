@@ -183,7 +183,9 @@ def witness_tuple(
     every call.  The normalized tuple approaches x as m grows, at the rate
     of the worst consecutive-element ratio near the thresholds; that bound
     is also checked, with constant 2*sqrt(k) absorbing normalization.  A
-    failed check raises CertificateError.
+    failed check raises CertificateError.  The thresholds are the floats
+    m*x_i, and the sandwich is exact against those floats; an m past float
+    range raises DomainError.
     """
     k = len(x)
     if k < 2:
@@ -194,15 +196,18 @@ def witness_tuple(
         raise DomainError("x must be a unit vector")
     if not A.elements:
         raise DomainError("empty ground set")
+    try:
+        thresholds = [m * xi for xi in x]
+    except OverflowError:
+        raise DomainError("m is past float range") from None
     # int-float comparison is exact, so this holds at any element size
-    if m * min(x) < A.elements[0]:
+    if min(thresholds) < A.elements[0]:
         raise DomainError(
             f"m = {m} is below a_1 / min(x) for a_1 = {A.elements[0]}"
         )
     picks = []
     ratios = []
-    for xi in x:
-        threshold = m * xi
+    for threshold in thresholds:
         j = bisect_right(A.elements, threshold)
         if j >= len(A.elements):
             raise DomainError(

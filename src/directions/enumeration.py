@@ -35,6 +35,10 @@ _INT64_LIMIT = 1 << 62
 
 _CHUNK = 1 << 20
 
+# rows converted to Python ints at a time when a cloud is iterated; a small
+# slice keeps those lists out of the process's peak memory
+_ITER_ROWS = 1 << 12
+
 
 def budget() -> int:
     """Tuple/memory budget; override with env var DIRECTIONS_BUDGET."""
@@ -172,14 +176,12 @@ class DirectionCloud:
         return len(self.rows) == 0
 
     def as_set(self) -> set[tuple[int, ...]]:
-        if isinstance(self.rows, np.ndarray):
-            return {tuple(int(c) for c in row) for row in self.rows}
-        return set(self.rows)
+        return set(self)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         if isinstance(self.rows, np.ndarray):
-            for row in self.rows:
-                yield tuple(int(c) for c in row)
+            for start in range(0, len(self.rows), _ITER_ROWS):
+                yield from map(tuple, self.rows[start : start + _ITER_ROWS].tolist())
         else:
             yield from self.rows
 
@@ -210,6 +212,19 @@ def _index_blocks(n: int, k: int) -> Iterator[np.ndarray]:
         yield np.stack(np.unravel_index(flat, (n,) * k), axis=1)
 
 
+def _sampled_block(n: int, k: int, sample: int, seed: int) -> Iterator[np.ndarray]:
+    """The seeded draw as a one-block stream, so the reducer can drop it."""
+    yield np.random.default_rng(seed).integers(0, n, size=(sample, k))
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D integer array in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
 def _reduce_numpy(
     elems: np.ndarray, k: int, distinct: bool, blocks: Iterable[np.ndarray]
 ) -> np.ndarray:
@@ -217,16 +232,17 @@ def _reduce_numpy(
     pieces = []
     for idx in blocks:
         rows = elems[idx]
+        del idx  # free the index block before the sort
         if distinct:
             rows = rows[_distinct_mask(rows)]
         if len(rows):
             rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
-            pieces.append(np.unique(rows, axis=0))
+            pieces.append(_unique_rows(rows))
     if not pieces:
         return np.zeros((0, k), dtype=np.int64)
     if len(pieces) == 1:
         return pieces[0]
-    return np.unique(np.concatenate(pieces), axis=0)
+    return _unique_rows(np.concatenate(pieces))
 
 
 def _reduce_python(
@@ -281,8 +297,7 @@ def directions(
         if sample is None:
             blocks = _index_blocks(n, k)
         else:
-            rng = np.random.default_rng(seed)
-            blocks = [rng.integers(0, n, size=(sample, k))]
+            blocks = _sampled_block(n, k, sample, seed)
         rows = _reduce_numpy(
             np.asarray(elems, dtype=np.int64), k, distinct_entries_only, blocks
         )

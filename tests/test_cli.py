@@ -115,6 +115,12 @@ class TestBadInput:
                 None,
                 1,
             ),
+            (
+                ["witness", "--rule", "naturals", "--N", "100",
+                 "--x", "0.6,0.8", "--m", str(10**400)],
+                None,
+                1,
+            ),
         ],
         ids=[
             "elements",
@@ -126,6 +132,7 @@ class TestBadInput:
             "witness-elements-past-float-range",
             "witness-ratio-past-float-range",
             "ratio-gap-ratio-past-float-range",
+            "witness-m-past-float-range",
         ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):

@@ -1,11 +1,13 @@
 """Ground sets and direction clouds."""
 
 import csv
+import io
 import random
 
 import numpy as np
 import pytest
 
+from directions import enumeration
 from directions.construction import construct
 from directions.core import primitive
 from directions.enumeration import (
@@ -167,6 +169,47 @@ class TestDirections:
         plain = np.array([[float(c) for c in row] for row in cloud.rows])[fits]
         want = plain / np.linalg.norm(plain, axis=1, keepdims=True)
         assert fits.sum() > 1000 and np.array_equal(pts[fits], want)
+
+
+class TestBlockMerge:
+    """Clouds spread over several index blocks merge in lexicographic order."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rows_sorted_across_blocks(self, monkeypatch, chunk, distinct, k):
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+        A = explicit_ground_set([1, 2, 3, 4, 6, 9])
+        rows = directions(A, k, distinct).rows
+        assert [tuple(r) for r in rows] == sorted(
+            brute_directions(A.elements, k, distinct)
+        )
+
+    def test_every_piece_empty(self):
+        # each block holds only tuples with a repeated entry
+        elems = np.array([1, 2, 3], dtype=np.int64)
+        blocks = (np.full((2, 3), i) for i in range(3))
+        rows = enumeration._reduce_numpy(elems, 3, True, blocks)
+        assert rows.shape == (0, 3) and rows.dtype == np.int64
+
+
+class TestIteration:
+    def test_slices_match_rows(self, tmp_path):
+        cloud = directions(ground_set("naturals", 400), 2)
+        assert cloud.count > enumeration._ITER_ROWS
+        want = [tuple(int(c) for c in row) for row in cloud.rows]
+        got = list(cloud)
+        assert got == want
+        assert all(type(c) is int for row in got for c in row)
+        assert cloud.as_set() == set(want)
+        # the CSV is what a writer fed one int() per entry produces
+        path = tmp_path / "cloud.csv"
+        export_csv(cloud, str(path))
+        old = io.StringIO()
+        writer = csv.writer(old, lineterminator="\n")
+        writer.writerow(["c0", "c1"])
+        writer.writerows([int(c) for c in row] for row in cloud.rows)
+        assert path.read_text(encoding="utf-8") == old.getvalue()
 
 
 class TestSampling:
