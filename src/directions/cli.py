@@ -6,8 +6,8 @@ with a schema_version field and carry every tolerance and parameter that
 influenced them; point data goes to CSV.  No timestamps, no environment
 echoes: the same invocation produces byte-identical artifacts.
 
-Exit codes: 0 success, 1 domain/precondition failure, 2 resource budget
-exceeded, 64 usage error.
+Exit codes: 0 success, 1 domain/precondition failure or an unwritable
+output file, 2 resource budget exceeded, 64 usage error.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except DirectionsError as exc:
+    except (DirectionsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return EXIT_OK

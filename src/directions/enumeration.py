@@ -8,19 +8,19 @@ tuples with pairwise distinct entries.
 
 Enumeration is exhaustive below a tuple budget and refuses above it; the
 caller can instead request seeded uniform sampling, which is always flagged
-in the result so sampled and exhaustive clouds are never confused.  Small
-machine-word elements run vectorized through numpy; anything larger (the
-constructor's factorial-scale values beyond 20!) takes a big-integer path.
+in the result so sampled and exhaustive clouds are never confused.  One
+numpy kernel reduces every cloud at every element width: elements below
+2^62 ride in int64 arrays, larger ones (the constructor's factorial-scale
+values beyond 20!) in object arrays of Python ints.  A direction depends
+only on the primitive form of its tuple, so the width changes no row.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +30,8 @@ from .errors import DomainError, ResourceError
 
 DEFAULT_BUDGET = 10**8
 
-# int64 holds products only up to 2^63; keep reduction safely inside
+# int64 holds values only below 2^63; keep reduction safely inside and give
+# wider elements an object array of Python ints
 _INT64_LIMIT = 1 << 62
 
 _CHUNK = 1 << 20
@@ -228,7 +229,11 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 def _reduce_numpy(
     elems: np.ndarray, k: int, distinct: bool, blocks: Iterable[np.ndarray]
 ) -> np.ndarray:
-    """Sorted distinct primitive forms of the tuples the index blocks pick."""
+    """Sorted distinct primitive forms of the tuples the index blocks pick.
+
+    elems is an int64 array or an object array of Python ints; every step
+    here works on both.
+    """
     pieces = []
     for idx in blocks:
         rows = elems[idx]
@@ -243,19 +248,6 @@ def _reduce_numpy(
     if len(pieces) == 1:
         return pieces[0]
     return _unique_rows(np.concatenate(pieces))
-
-
-def _reduce_python(
-    tuples: Iterable[tuple[int, ...]], k: int, distinct: bool
-) -> tuple[tuple[int, ...], ...]:
-    """Sorted distinct primitive forms of big-integer tuples."""
-    seen: set[tuple[int, ...]] = set()
-    for tup in tuples:
-        if distinct and len(set(tup)) != k:
-            continue
-        g = gcd(*tup)
-        seen.add(tuple(c // g for c in tup))
-    return tuple(sorted(seen))
 
 
 def directions(
@@ -290,27 +282,25 @@ def directions(
             )
     elif sample < 1:
         raise DomainError("sample size must be >= 1")
+    elif seed < 0:
+        raise DomainError("seed must be >= 0")
     elems = A.elements
     if n == 0 or (distinct_entries_only and n < k):
         rows: object = np.zeros((0, k), dtype=np.int64)
-    elif elems[-1] < _INT64_LIMIT:
+    else:
         if sample is None:
             blocks = _index_blocks(n, k)
         else:
             blocks = _sampled_block(n, k, sample, seed)
+        wide = elems[-1] >= _INT64_LIMIT
         rows = _reduce_numpy(
-            np.asarray(elems, dtype=np.int64), k, distinct_entries_only, blocks
+            np.array(elems, dtype=object if wide else np.int64),
+            k,
+            distinct_entries_only,
+            blocks,
         )
-    else:
-        if sample is None:
-            tuples = product(elems, repeat=k)
-        else:
-            rng = random.Random(seed)
-            tuples = (
-                tuple(elems[rng.randrange(n)] for _ in range(k))
-                for _ in range(sample)
-            )
-        rows = _reduce_python(tuples, k, distinct_entries_only)
+        if wide:
+            rows = tuple(map(tuple, rows.tolist()))
     return DirectionCloud(
         k=k,
         rows=rows,

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these to exit codes: ResourceError -> 2, any other
-DirectionsError -> 1, argparse usage errors -> 64.
+DirectionsError (or an OSError from an output file) -> 1, argparse usage
+errors -> 64.
 """
 
 

@@ -138,12 +138,6 @@ class Surd:
         # same sign: larger square means larger magnitude
         return sa if d > 0 else -sa
 
-    def __lt__(self, other: "Surd") -> bool:
-        return self.compare(other) < 0
-
-    def __le__(self, other: "Surd") -> bool:
-        return self.compare(other) <= 0
-
     def to_float(self) -> float:
         if self.q == 0:
             return 0.0

@@ -342,15 +342,18 @@ def load_spec(path: str) -> TargetSpec:
     if not isinstance(doc, dict) or "k" not in doc:
         raise DomainError(f"spec file {path!r} has no 'k' field")
     kind = doc.get("kind", FINITE)
-    k = int(doc["k"])
+    try:
+        k = int(doc["k"])
+        pts = [
+            TargetPoint(tuple(_coord_from_json(c) for c in row))
+            for row in (doc["generators"] if kind == FINITE else ())
+        ]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"malformed spec file {path!r}: {exc!r}") from exc
     if kind in (FULL_SPHERE, HYPERPLANE):
         return TargetSpec(kind=kind, k=k)
     if kind != FINITE:
         raise DomainError(f"cannot load target kind {kind!r}")
-    pts = [
-        TargetPoint(tuple(_coord_from_json(c) for c in row))
-        for row in doc["generators"]
-    ]
     if any(p.k != k for p in pts):
         raise DomainError("generator dimension does not match k")
     # closing is idempotent, so re-closing a closed file is harmless and

@@ -121,6 +121,45 @@ class TestBadInput:
                 None,
                 1,
             ),
+            (["construct", "--spec", "SPEC", "--M", "3"], '{"k": 2}', 1),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": "x", "generators": []}',
+                1,
+            ),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": 1, "generators": [[{"q": "abc", "r": 1}]]}',
+                1,
+            ),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": 1, "generators": [[{"q": "1/0", "r": 1}]]}',
+                1,
+            ),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": 3, "generators": [[1, 2, 3]]}',
+                1,
+            ),
+            (
+                ["enumerate", "--elements", "1,2,3", "--k", "2",
+                 "--sample", "5", "--seed", "-1"],
+                None,
+                1,
+            ),
+            (
+                ["enumerate", "--elements", "1,2,3", "--k", "2",
+                 "--out", "DIR/missing/x.csv"],
+                None,
+                1,
+            ),
+            (
+                ["construct", "--builtin", "orthant-sphere-full", "--k", "2",
+                 "--M", "3", "--dump", "DIR/missing/trace.jsonl"],
+                None,
+                1,
+            ),
         ],
         ids=[
             "elements",
@@ -133,13 +172,24 @@ class TestBadInput:
             "witness-ratio-past-float-range",
             "ratio-gap-ratio-past-float-range",
             "witness-m-past-float-range",
+            "spec-without-generators",
+            "spec-k-not-int",
+            "spec-q-not-rational",
+            "spec-q-zero-denominator",
+            "spec-coord-not-object",
+            "negative-seed",
+            "unwritable-out",
+            "unwritable-dump",
         ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):
         spec = tmp_path / "spec.json"
         if spec_text is not None:
             spec.write_text(spec_text)
-        argv = [str(spec) if a == "SPEC" else a for a in argv]
+        argv = [
+            a.replace("SPEC", str(spec)).replace("DIR", str(tmp_path))
+            for a in argv
+        ]
         try:
             got = main(argv)
         except SystemExit as exc:

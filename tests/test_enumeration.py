@@ -117,18 +117,15 @@ class TestDirections:
                     assert got == want, (A.elements, k, distinct)
 
     def test_big_int_path_matches(self):
-        # elements past the int64 safety line fall back to python ints
+        # elements past the int64 safety line ride in object arrays
         base = 1 << 62
         A = explicit_ground_set([base + 1, base + 2, base + 3])
         got = directions(A, 2, True).as_set()
         want = brute_directions(A.elements, 2, True)
         assert got == want
-        # sampled: seeded random.Random draws, k indices per tuple, in order
-        rng = random.Random(4)
-        drawn = [
-            tuple(A.elements[rng.randrange(3)] for _ in range(2))
-            for _ in range(5)
-        ]
+        # sampled: the same default_rng index draw as at every element width
+        idx = np.random.default_rng(4).integers(0, 3, size=(5, 2))
+        drawn = [tuple(A.elements[i] for i in row) for row in idx.tolist()]
         got = directions(A, 2, True, sample=5, seed=4)
         assert got.sampled and not isinstance(got.rows, np.ndarray)
         assert got.as_set() == {primitive(t) for t in drawn if t[0] != t[1]}
@@ -179,11 +176,13 @@ class TestBlockMerge:
     @pytest.mark.parametrize("k", [2, 3])
     def test_rows_sorted_across_blocks(self, monkeypatch, chunk, distinct, k):
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
-        A = explicit_ground_set([1, 2, 3, 4, 6, 9])
-        rows = directions(A, k, distinct).rows
-        assert [tuple(r) for r in rows] == sorted(
-            brute_directions(A.elements, k, distinct)
-        )
+        # shift 62 puts every element past int64 and into object blocks
+        for shift in (0, 62):
+            A = explicit_ground_set([e << shift for e in (1, 2, 3, 4, 6, 9)])
+            rows = directions(A, k, distinct).rows
+            assert [tuple(r) for r in rows] == sorted(
+                brute_directions(A.elements, k, distinct)
+            )
 
     def test_every_piece_empty(self):
         # each block holds only tuples with a repeated entry
@@ -231,6 +230,12 @@ class TestSampling:
         full = directions(A, 2).as_set()
         samp = directions(A, 2, sample=500, seed=3).as_set()
         assert samp <= full
+
+    @pytest.mark.parametrize("shift", [0, 62])
+    def test_negative_seed_rejected(self, shift):
+        A = explicit_ground_set([e << shift for e in (1, 2, 3)])
+        with pytest.raises(DomainError, match="seed"):
+            directions(A, 2, sample=5, seed=-1)
 
     def test_sampled_distinct_respects_flag(self):
         A = ground_set("naturals", 50)

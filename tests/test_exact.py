@@ -88,10 +88,10 @@ class TestSurd:
         assert Surd.of(Fraction(2, 3), 5).square() == Fraction(20, 9)
 
     def test_ordering(self):
-        assert Surd.of(1, 2) < Surd.of(1, 3)
-        assert Surd.of(2, 2) > Surd.of(1, 7)  # 8 > 7
-        assert Surd.of(-1, 2) < Surd.of(1, 1)
-        assert Surd.of(-1, 3) < Surd.of(-1, 2)
+        assert Surd.of(1, 2).compare(Surd.of(1, 3)) == -1
+        assert Surd.of(2, 2).compare(Surd.of(1, 7)) == 1  # 8 > 7
+        assert Surd.of(-1, 2).compare(Surd.of(1, 1)) == -1
+        assert Surd.of(-1, 3).compare(Surd.of(-1, 2)) == -1
         assert Surd.of(1, 5).compare(Surd.of(1, 5)) == 0
 
     def test_to_float(self):

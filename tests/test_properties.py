@@ -1,6 +1,7 @@
 """Property tests of the numpy cloud kernel against numpy and the oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -30,14 +31,29 @@ def test_unique_rows_matches_np_unique(rows):
     assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
 
 
+SMALL_SETS = st.sets(st.integers(1, 60), min_size=1, max_size=6)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(
-    elements=st.sets(st.integers(1, 60), min_size=1, max_size=6),
-    k=st.integers(2, 3),
-    distinct=st.booleans(),
-)
+@given(elements=SMALL_SETS, k=st.integers(2, 3), distinct=st.booleans())
 def test_directions_match_oracle(elements, k, distinct):
     assume(not distinct or len(elements) >= k)
+    # a shift of 62 moves every element past int64 into object arrays
+    for shift in (0, 62):
+        A = explicit_ground_set([e << shift for e in elements])
+        got = list(directions(A, k, distinct))
+        assert got == sorted(brute_directions(A.elements, k, distinct))
+
+
+@pytest.mark.parametrize("sample", [None, 7])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(elements=SMALL_SETS, k=st.integers(2, 3), distinct=st.booleans())
+def test_scale_invariance(elements, k, distinct, sample):
+    # D^k(cA) = D^k(A): a direction depends only on the primitive form, so
+    # scaling A past int64 changes no row and, sampled, no index draw
+    assume(not distinct or len(elements) >= k)
     A = explicit_ground_set(elements)
-    got = list(map(tuple, directions(A, k, distinct).rows.tolist()))
-    assert got == sorted(brute_directions(A.elements, k, distinct))
+    wide = explicit_ground_set([e << 62 for e in elements])
+    assert list(directions(A, k, distinct, sample=sample, seed=5)) == list(
+        directions(wide, k, distinct, sample=sample, seed=5)
+    )
