@@ -10,6 +10,17 @@ sqrt(k)/2, hence ||rho(v) - x|| <= 2*(sqrt(k)/2)/d <= h/sqrt(k) <= h.  So
 the net's mesh is at most h by construction; a Monte-Carlo audit of that
 bound is available for the suspicious.
 
+An exhaustive cloud and the net are closed under coordinate permutations.
+For a sorted net point q, the rearrangement inequality makes q . sp, and
+so closeness to q, largest over the orbit of a row p where sp is sorted
+like q.  So the covering radius is the worst distance from a sorted net
+point to the chamber rows, and the KD tree holds only those.  The report
+names the first net point in sphere_net order that attains the radius, a
+member of the orbit of a worst sorted point.  Permuted distances round
+along other coordinate orders, so each sorted point within _TIE of the
+worst is settled on its orbit against the expanded orbits of the rows
+near it, and both fields equal those of the expanded computation.
+
 The remaining operations cover the growth-condition experiments: block
 maxima of consecutive-element ratios, the bracketing witness tuples that
 turn a slowly growing ground set into directions approximating a chosen
@@ -29,6 +40,7 @@ from scipy.spatial import cKDTree
 
 from .core import distance, is_unit, normalize
 from .enumeration import DirectionCloud, GroundSet, budget, directions
+from .enumeration import orbit_rows, row_array, unit_rows
 from .errors import CertificateError, DomainError, ResourceError
 
 
@@ -109,11 +121,16 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
         raise DomainError(
             f"cloud dimension {cloud.k} does not match net dimension {net.k}"
         )
-    units = cloud.unit_points()
-    dists, _ = cKDTree(units).query(net.points, k=1)
-    at = int(np.argmax(dists))
+    rows = row_array(cloud.rows)
+    units = unit_rows(rows)
+    if cloud.sampled:
+        dists, _ = cKDTree(units).query(net.points, k=1)
+        at = int(np.argmax(dists))
+        radius = float(dists[at])
+    else:
+        radius, at = _chamber_radius(rows, units, net)
     return DensityReport(
-        covering_radius=float(dists[at]),
+        covering_radius=radius,
         argmax_net_point=tuple(float(c) for c in net.points[at]),
         k=net.k,
         h=net.h,
@@ -123,6 +140,42 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
         distinct=cloud.distinct_entries_only,
         sampled=cloud.sampled,
     )
+
+
+# Distances this close may be one distance rounded along two coordinate
+# orders; _chamber_radius settles such near-ties on expanded rows.
+_TIE = 1e-9
+
+
+def _chamber_radius(
+    rows: np.ndarray, units: np.ndarray, net: SphereNet
+) -> tuple[float, int]:
+    """Covering radius and first argmax of an exhaustive cloud's chamber."""
+    pts, d = net.points, net.denominator
+    chamber = np.flatnonzero((pts[:, 1:] >= pts[:, :-1]).all(axis=1))
+    dists, _ = cKDTree(units).query(pts[chamber], k=1)
+    top = dists >= dists.max() - _TIE
+    found = []
+    for i, dist in zip(chamber[top], dists[top]):
+        near = rows[np.linalg.norm(units - pts[i], axis=1) <= dist + _TIE]
+        v = np.rint(pts[i] * d / pts[i, -1]).astype(np.int64)  # largest entry d
+        orbit = sorted(_net_index(p, d) for p in orbit_rows(v[None, :]).tolist())
+        got, _ = cKDTree(unit_rows(orbit_rows(near))).query(pts[orbit], k=1)
+        found += zip(got.tolist(), orbit)
+    radius = max(g for g, _ in found)
+    return radius, min(j for g, j in found if g == radius)
+
+
+def _net_index(v: Sequence[int], d: int) -> int:
+    """Position of the integer vector v (largest entry d) in sphere_net."""
+    k = len(v)
+    lead = v.index(d)  # the block of v, after d^j (d+1)^(k-1-j) points each
+    index = sum(d**j * (d + 1) ** (k - 1 - j) for j in range(lead))
+    pos = 0
+    for t, c in enumerate(v):
+        if t != lead:  # mixed radix: d before the lead, d + 1 after it
+            pos = pos * (d if t < lead else d + 1) + c
+    return index + pos
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ numpy kernel reduces every cloud at every element width: elements below
 2^62 ride in int64 arrays, larger ones (the constructor's factorial-scale
 values beyond 20!) in object arrays of Python ints.  A direction depends
 only on the primitive form of its tuple, so the width changes no row.
+
+An exhaustive cloud is closed under coordinate permutations, so it keeps
+only its sorted chamber, the rows with nondecreasing entries: nondecreasing
+index tuples (strictly increasing in distinct mode) over the sorted
+elements, reduced by their gcd, which keeps them sorted.  ``count`` sums
+the orbit sizes k!/prod(m!) over the entries' multiplicities m, and
+iteration, CSV export and ``unit_points`` see every row through one
+expansion, ``orbit_rows``, which builds each distinct arrangement once.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import csv
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -155,8 +164,9 @@ class DirectionCloud:
     """Deduplicated primitive directions of k-tuples over a ground set.
 
     rows is an (n, k) int64 array when every element fits a machine word,
-    otherwise a tuple of int tuples.  ``sampled`` marks clouds built from
-    seeded uniform draws instead of full enumeration.
+    otherwise a tuple of int tuples.  For an exhaustive cloud it holds the
+    sorted chamber, one row per permutation orbit; ``sampled`` marks clouds
+    built from seeded uniform draws, whose rows are every distinct draw.
     """
 
     k: int
@@ -170,7 +180,16 @@ class DirectionCloud:
 
     @property
     def count(self) -> int:
-        return len(self.rows)
+        if self.sampled:
+            return len(self.rows)
+        rows = row_array(self.rows)
+        # orbit: arrangements of a row's first t + 1 entries, a multinomial
+        # that grows by (t + 1) / run, run the new entry's place among equals
+        run = orbit = 1
+        for t in range(1, self.k):
+            run = np.where(rows[:, t] == rows[:, t - 1], run + 1, 1)
+            orbit = orbit * (t + 1) // run
+        return int(np.sum(orbit))
 
     @property
     def is_empty(self) -> bool:
@@ -179,22 +198,60 @@ class DirectionCloud:
     def as_set(self) -> set[tuple[int, ...]]:
         return set(self)
 
+    def _full_rows(self) -> np.ndarray:
+        """Every row, lexicographic; the one place a chamber is expanded."""
+        rows = row_array(self.rows)
+        return rows if self.sampled else orbit_rows(rows)
+
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        if isinstance(self.rows, np.ndarray):
-            for start in range(0, len(self.rows), _ITER_ROWS):
-                yield from map(tuple, self.rows[start : start + _ITER_ROWS].tolist())
-        else:
-            yield from self.rows
+        rows = self._full_rows()
+        for start in range(0, len(rows), _ITER_ROWS):
+            yield from map(tuple, rows[start : start + _ITER_ROWS].tolist())
 
     def unit_points(self) -> np.ndarray:
-        """Float unit vectors, one row per direction."""
+        """Float unit vectors, one row per direction, in iteration order."""
         if self.is_empty:
             return np.zeros((0, self.k))
-        if isinstance(self.rows, np.ndarray):
-            pts = self.rows.astype(np.float64)
-        else:
-            pts = np.array([scaled_floats(row) for row in self.rows])
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        return unit_rows(self._full_rows())
+
+
+def row_array(rows) -> np.ndarray:
+    """A cloud's rows as an array; wide tuple rows become an object array."""
+    return rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+
+
+def orbit_rows(rows: np.ndarray) -> np.ndarray:
+    """Every arrangement of each sorted row's entries, lexicographic.
+
+    Each pass places one of the distinct entries a row has left, so every
+    arrangement is built once and the work follows the output, not k!;
+    the last entry left has one place.
+    """
+    placed, rest = rows[:, :0], rows
+    for _ in range(rows.shape[1] - 1):
+        width = rest.shape[1]
+        # rows sorted, so entry j is a value not yet tried if it differs
+        # from entry j - 1
+        fresh = [slice(None)] + [rest[:, j] != rest[:, j - 1] for j in range(1, width)]
+        placed = np.concatenate([
+            np.concatenate([placed[p], rest[p, j : j + 1]], axis=1)
+            for j, p in enumerate(fresh)
+        ])
+        rest = np.concatenate([
+            rest[p][:, [c for c in range(width) if c != j]]
+            for j, p in enumerate(fresh)
+        ])
+    placed = np.concatenate([placed, rest], axis=1)
+    return placed[np.lexsort(placed.T[::-1])]
+
+
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Float unit vectors of a nonempty int64 or object array of rows."""
+    if rows.dtype == object:
+        pts = np.array([scaled_floats(row) for row in rows])
+    else:
+        pts = rows.astype(np.float64)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
 def _distinct_mask(cols: np.ndarray) -> np.ndarray:
@@ -205,12 +262,30 @@ def _distinct_mask(cols: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _index_blocks(n: int, k: int) -> Iterator[np.ndarray]:
-    """All n^k index tuples in lexicographic order, _CHUNK rows at a time."""
-    total = n**k
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield np.stack(np.unravel_index(flat, (n,) * k), axis=1)
+def _chamber_blocks(n: int, k: int, distinct: bool) -> Iterator[np.ndarray]:
+    """Sorted index tuples in lexicographic order, blocks of first indices.
+
+    i_0 <= ... <= i_(k-1) < n exactly when the i_t + t strictly increase
+    below n + k - 1, so both modes extend first indices a < m strictly.
+    A block holds at most _CHUNK tuples unless one first index has more.
+    """
+    m = n if distinct else n + k - 1
+    unsort = 0 if distinct else np.arange(k)
+    a = 0
+    while a <= m - k:
+        b, size = a + 1, comb(m - 1 - a, k - 1)
+        while b <= m - k and size + comb(m - 1 - b, k - 1) <= _CHUNK:
+            size += comb(m - 1 - b, k - 1)
+            b += 1
+        rows = np.arange(a, b)[:, None]
+        for _ in range(k - 1):  # extend each row by every entry above its last
+            counts = m - 1 - rows[:, -1]
+            ends = np.cumsum(counts)
+            step = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+            last = np.repeat(rows[:, -1] + 1, counts) + step
+            rows = np.column_stack([np.repeat(rows, counts, axis=0), last])
+        yield rows - unsort
+        a = b
 
 
 def _sampled_block(n: int, k: int, sample: int, seed: int) -> Iterator[np.ndarray]:
@@ -260,11 +335,11 @@ def directions(
 ) -> DirectionCloud:
     """The direction cloud of A, exact unless sampling is requested.
 
-    Exhaustive mode enumerates all |A|^k ordered tuples and refuses when
-    that count exceeds the budget; pass ``sample`` (a number of uniform
-    tuple draws) to get a flagged sampled cloud instead.  In distinct mode
-    sampled draws with repeated entries are discarded, so the realized draw
-    count can be slightly below ``sample``.
+    Exhaustive mode enumerates the sorted tuples and refuses when the |A|^k
+    ordered tuples they stand for exceed the budget; pass ``sample`` (a
+    number of uniform tuple draws) to get a flagged sampled cloud instead.
+    In distinct mode sampled draws with repeated entries are discarded, so
+    the realized draw count can be slightly below ``sample``.
     """
     if k < 2:
         raise DomainError("dimension k must be >= 2")
@@ -289,7 +364,7 @@ def directions(
         rows: object = np.zeros((0, k), dtype=np.int64)
     else:
         if sample is None:
-            blocks = _index_blocks(n, k)
+            blocks = _chamber_blocks(n, k, distinct_entries_only)
         else:
             blocks = _sampled_block(n, k, sample, seed)
         wide = elems[-1] >= _INT64_LIMIT

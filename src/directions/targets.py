@@ -295,7 +295,11 @@ def _dense_sequence(spec: TargetSpec) -> Iterator[TargetPoint]:
     """The spec's dense sequence, from its first point on."""
     if spec.kind == FINITE:
         return cycle(spec.points)
-    return _orthant_directions(spec.k, need_zero=spec.kind == HYPERPLANE)
+    points = _orthant_directions(spec.k, need_zero=spec.kind == HYPERPLANE)
+    if spec.kind == HYPERPLANE and spec.k == 2:
+        # the union is the finite set {(1, 0), (0, 1)}, all at level 1
+        return cycle(islice(points, 2))
+    return points
 
 
 def enumerate_dense(spec: TargetSpec, m: int) -> TargetPoint:

@@ -2,7 +2,8 @@
 
 Everything here is written the slow, obvious way with no shared code
 with the package: brute-force tuple enumeration, float fixpoint closure,
-and high-precision floors via mpmath.  Expected values frozen into the
+covering radii over the expanded cloud and from exact arc gaps, and
+high-precision floors via mpmath.  Expected values frozen into the
 test modules were produced by these oracles.
 """
 
@@ -13,6 +14,8 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
+from scipy.spatial import cKDTree
 
 
 def brute_directions(A, k, distinct=False):
@@ -24,6 +27,37 @@ def brute_directions(A, k, distinct=False):
         g = math.gcd(*tup)
         out.add(tuple(v // g for v in tup))
     return frozenset(out)
+
+
+def full_covering_radius(A, k, distinct, net_points):
+    """(radius, argmax net row, cloud size) over the whole expanded cloud.
+
+    The computation the package ran before it used the sorted chamber:
+    every direction's float unit vector into one cKDTree, every net point
+    queried, the first maximal net point taken.  float(c) of a Python int
+    rounds correctly, as int64-to-float conversion does, so the unit
+    vectors carry the same bits for entries below 2^500.
+    """
+    rows = sorted(brute_directions(A, k, distinct))
+    pts = np.array([[float(c) for c in row] for row in rows])
+    units = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    dists, _ = cKDTree(units).query(net_points, k=1)
+    at = int(np.argmax(dists))
+    return float(dists[at]), tuple(float(c) for c in net_points[at]), len(rows)
+
+
+def arc_covering_radius(A, distinct=False):
+    """Exact covering radius of D^2(A) over the whole quarter circle.
+
+    D^2(A) is the ratio set of A mapped to angles atan2(b, a).  The arc
+    point farthest from them is the middle of the widest gap between
+    consecutive angles, or an end of the arc, and a chord spanning the
+    angle t has length 2 sin(t / 2).
+    """
+    angles = sorted(math.atan2(b, a) for a, b in brute_directions(A, 2, distinct))
+    ends = [2 * angles[0], 2 * (math.pi / 2 - angles[-1])]
+    gaps = [hi - lo for lo, hi in zip(angles, angles[1:])]
+    return 2 * math.sin(max(ends + gaps) / 4)
 
 
 def brute_unit_directions(A, k, distinct=False):

@@ -73,6 +73,22 @@ class TestExitCodes:
         )
         assert proc.returncode == 64
 
+    def test_hyperplane_k2_returns(self):
+        # the k=2 hyperplane union is {(1, 0), (0, 1)}; its dense sequence
+        # cycles them instead of waiting for a level 2 that never comes
+        src = str(Path(directions.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "directions.cli", "construct", "--builtin",
+             "hyperplane-boundary", "--k", "2", "--M", "5"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert len(report["direction_errors"]) == len(report["tie_breaks"]) == 5
+
 
 class TestBadInput:
     @pytest.mark.parametrize(

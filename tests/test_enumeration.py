@@ -162,8 +162,9 @@ class TestDirections:
         assert np.allclose(norms, 1.0, atol=1e-12)
         # rows whose squared norm fits a float come out bit for bit as a
         # plain float conversion gives them
-        fits = np.array([max(row) < 10**150 for row in cloud.rows])
-        plain = np.array([[float(c) for c in row] for row in cloud.rows])[fits]
+        rows = list(cloud)  # unit_points follows iteration order
+        fits = np.array([max(row) < 10**150 for row in rows])
+        plain = np.array([[float(c) for c in row] for row in rows])[fits]
         want = plain / np.linalg.norm(plain, axis=1, keepdims=True)
         assert fits.sum() > 1000 and np.array_equal(pts[fits], want)
 
@@ -179,10 +180,13 @@ class TestBlockMerge:
         # shift 62 puts every element past int64 and into object blocks
         for shift in (0, 62):
             A = explicit_ground_set([e << shift for e in (1, 2, 3, 4, 6, 9)])
-            rows = directions(A, k, distinct).rows
-            assert [tuple(r) for r in rows] == sorted(
-                brute_directions(A.elements, k, distinct)
-            )
+            cloud = directions(A, k, distinct)
+            want = sorted(brute_directions(A.elements, k, distinct))
+            # rows hold the sorted chamber; iteration expands it
+            assert [tuple(r) for r in cloud.rows] == [
+                r for r in want if list(r) == sorted(r)
+            ]
+            assert list(cloud) == want
 
     def test_every_piece_empty(self):
         # each block holds only tuples with a repeated entry
@@ -196,7 +200,8 @@ class TestIteration:
     def test_slices_match_rows(self, tmp_path):
         cloud = directions(ground_set("naturals", 400), 2)
         assert cloud.count > enumeration._ITER_ROWS
-        want = [tuple(int(c) for c in row) for row in cloud.rows]
+        full = cloud._full_rows()
+        want = [tuple(int(c) for c in row) for row in full]
         got = list(cloud)
         assert got == want
         assert all(type(c) is int for row in got for c in row)
@@ -207,8 +212,24 @@ class TestIteration:
         old = io.StringIO()
         writer = csv.writer(old, lineterminator="\n")
         writer.writerow(["c0", "c1"])
-        writer.writerows([int(c) for c in row] for row in cloud.rows)
+        writer.writerows([int(c) for c in row] for row in full)
         assert path.read_text(encoding="utf-8") == old.getvalue()
+
+
+class TestChamber:
+    @pytest.mark.parametrize("shift", [0, 62])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_count_matches_rows_out(self, tmp_path, distinct, shift):
+        # k=4 over five elements: most tuples repeat an entry, so orbit
+        # sizes k!/prod(m!) vary from row to row
+        A = explicit_ground_set([e << shift for e in (1, 2, 3, 4, 6)])
+        cloud = directions(A, 4, distinct)
+        want = brute_directions(A.elements, 4, distinct)
+        path = tmp_path / "cloud.csv"
+        export_csv(cloud, str(path))
+        csv_rows = len(path.read_text().splitlines()) - 1
+        assert cloud.count == len(list(cloud)) == csv_rows == len(want)
+        assert len(cloud.rows) < cloud.count
 
 
 class TestSampling:

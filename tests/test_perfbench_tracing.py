@@ -54,3 +54,25 @@ def test_construct_routes_steps_through_construct_step(tmp_path):
     tail_tuples = report["verification"]["tail_tuple_count"]
     assert tail_tuples > 0
     assert tracer.counts["construction.tail_tuples"] == tail_tuples
+
+
+def test_density_builds_on_the_chamber(tmp_path):
+    # a silent fallback to the expanded cloud would put every row in the
+    # KD tree; the settle step adds only the orbits of the few rows next
+    # to the worst sorted net points
+    out = tmp_path / "density.json"
+    tracer = _tracer()
+    tracer.install()
+    try:
+        argv = ["density", "--rule", "naturals", "--N", "200", "--k", "3",
+                "--h", "0.05", "--out", str(out)]
+        assert directions.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    size = json.loads(out.read_text())["cloud_size"]
+    A = enumeration.ground_set("naturals", 200)
+    chamber = len(enumeration.directions(A, 3).rows)
+    assert chamber < size
+    assert chamber <= tracer.counts["density.kd_points"] <= chamber + 24
+    assert tracer.counts["enumeration.rows_out"] == size
+
