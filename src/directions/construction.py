@@ -277,6 +277,7 @@ def verify_construction(
     h: float,
     tolerance: float = 1e-3,
 ) -> VerificationReport:
+    from functools import cache
     from itertools import combinations, product
 
     if not A.steps or A.provenance is None:
@@ -307,6 +308,7 @@ def verify_construction(
     # order-free and the spec is permutation-closed), so one ordering of
     # each tuple stands for all k! of them
     units = {rec.step: rec.target.unit() for rec in A.steps[:M]}
+    scale_ratio = cache(_scale_ratio)  # few (m, m_big) pairs, many picks
     point_units = [p.unit() for p in spec.points]
     back_haus = 0.0
     back_residual = 0.0
@@ -322,7 +324,7 @@ def verify_construction(
         for pick in product(*origins):
             m_big = max(m for _, m in pick)
             pred = normalize(
-                tuple(units[m][i] * _scale_ratio(m, m_big) for i, m in pick)
+                tuple(units[m][i] * scale_ratio(m, m_big) for i, m in pick)
             )
             best = min(best, distance(actual, pred))
         back_residual = max(back_residual, best)

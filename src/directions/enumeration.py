@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import scaled_floats
+from .core import SCALE_BITS
 from .errors import DomainError, ResourceError
 
 DEFAULT_BUDGET = 10**8
@@ -246,9 +246,16 @@ def orbit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Float unit vectors of a nonempty int64 or object array of rows."""
+    """Float unit vectors of a nonempty int64 or object array of rows.
+
+    Object rows of Python ints are scaled as ``core.scaled_floats`` scales
+    one row: each row over 2^(bit_length - SCALE_BITS) past SCALE_BITS
+    bits, by the same int/int true division, done in one array division.
+    """
     if rows.dtype == object:
-        pts = np.array([scaled_floats(row) for row in rows])
+        bits = np.frompyfunc(int.bit_length, 1, 1)(rows.max(axis=1))
+        scale = np.left_shift(1, np.maximum(bits - SCALE_BITS, 0))
+        pts = (rows / scale[:, None]).astype(np.float64)
     else:
         pts = rows.astype(np.float64)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)

@@ -30,12 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
+from .enumeration import _sieve_primes
 from .errors import DomainError, PrecisionError
 
-# Trial-division bound for extracting square factors from radicands.
+# Square factors are extracted from radicands for every prime up to this.
 _SPLIT_BOUND = 10_000
+_PRIMES = _sieve_primes(_SPLIT_BOUND)
+_PRIMORIAL = prod(_PRIMES)
 
 # Interval comparisons double precision until sign is certified or this cap.
 PRECISION_CAP_BITS = 16_384
@@ -44,20 +47,27 @@ PRECISION_CAP_BITS = 16_384
 def squarefree_split(n: int) -> tuple[int, int]:
     """Write n = s*s*f and return (s, f) with f squarefree (best effort).
 
-    Square factors with a prime part above ``_SPLIT_BOUND`` survive only if
-    the whole remainder is a perfect square; anything else stays in f.  The
-    callers never rely on f being squarefree for correctness, only for
-    efficiency of like-term combination.
+    Returns what trial division by every p <= ``_SPLIT_BOUND`` returns:
+    only primes dividing n have a square to strip (a composite strips
+    nothing once its prime factors are gone), and one gcd with their
+    product, ``_PRIMORIAL``, names them.  Square factors with a prime part
+    above the bound survive only if the whole remainder is a perfect
+    square; anything else stays in f.  The callers never rely on f being
+    squarefree for correctness, only for efficiency of like-term
+    combination.
     """
     if n <= 0:
         raise DomainError(f"radicand must be positive, got {n}")
     s, f = 1, n
-    p = 2
-    while p <= _SPLIT_BOUND and p * p <= f:
-        while f % (p * p) == 0:
-            f //= p * p
-            s *= p
-        p += 1 if p == 2 else 2
+    g = gcd(n, _PRIMORIAL)  # squarefree: the primes up to the bound dividing n
+    for p in _PRIMES:
+        if p > g:
+            break
+        if g % p == 0:
+            g //= p
+            while f % (p * p) == 0:
+                f //= p * p
+                s *= p
     root = isqrt(f)
     if root * root == f:
         s *= root

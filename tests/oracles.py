@@ -144,3 +144,41 @@ def mp_unit(coords_qr, dps=60):
             vals.append(mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(r))
         n = mpmath.sqrt(sum(v * v for v in vals))
         return tuple(float(v / n) for v in vals)
+
+
+def trial_squarefree_split(n, bound=10_000):
+    """(s, f) with n = s*s*f, by trial division by 2 and odd p <= bound.
+
+    The package's split before it took one gcd with the primorial: strip
+    p*p while it divides, stop once p*p exceeds what is left, then take a
+    perfect-square remainder whole.
+    """
+    s, f = 1, n
+    p = 2
+    while p <= bound and p * p <= f:
+        while f % (p * p) == 0:
+            f //= p * p
+            s *= p
+        p += 1 if p == 2 else 2
+    root = math.isqrt(f)
+    if root * root == f:
+        s *= root
+        f = 1
+    return s, f
+
+
+def mp_surd_sign(terms, bits):
+    """Sign of the sum of c*sqrt(r) over terms {r: c}, from mpmath at bits.
+
+    None when the value lies within a few ulps of the largest term of 0,
+    where this evaluation cannot tell the sign.
+    """
+    with mpmath.workprec(bits):
+        parts = [
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(r)
+            for r, c in terms.items()
+        ]
+        v = mpmath.fsum(parts)
+        if abs(v) <= max(abs(p) for p in parts) * mpmath.ldexp(1, 8 - bits):
+            return None
+        return 1 if v > 0 else -1

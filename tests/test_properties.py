@@ -1,13 +1,17 @@
-"""Property tests of the numpy cloud kernel against numpy and the oracle."""
+"""Property tests of the cloud kernel and the exact layer against the oracles."""
 
+from fractions import Fraction
 from itertools import permutations
+from math import prod
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from directions.core import scaled_floats
 from directions.density import covering_radius, sphere_net
 from directions.enumeration import (
     _unique_rows,
@@ -15,9 +19,17 @@ from directions.enumeration import (
     explicit_ground_set,
     ground_set,
     orbit_rows,
+    unit_rows,
 )
+from directions.exact import SurdSum, squarefree_split
 
-from oracles import arc_covering_radius, brute_directions, full_covering_radius
+from oracles import (
+    arc_covering_radius,
+    brute_directions,
+    full_covering_radius,
+    mp_surd_sign,
+    trial_squarefree_split,
+)
 
 # small entries make duplicate rows common; full-width ones test wide keys
 ENTRIES = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1))
@@ -121,3 +133,86 @@ def test_k2_net_radius_brackets_arc_radius(rule, N, h, distinct):
     exact = arc_covering_radius(A.elements, distinct)
     assert net_radius.covering_radius <= exact + 1e-12
     assert exact <= net_radius.covering_radius + h + 1e-12
+
+
+@pytest.mark.parametrize("shifts", [(0,), (62,), (600,), (1100,), (0, 600)])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    rows=st.integers(2, 4).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(0, 2**1170), min_size=k, max_size=k),
+            min_size=1,
+            max_size=20,
+        )
+    )
+)
+def test_unit_rows_object_matches_scaled_floats(shifts, rows):
+    # row i holds 70 + shifts[i % len(shifts)] bits, every bit drawn, so
+    # divisions round: 1170 bits is past float range, and (0, 600) mixes
+    # rows below and above SCALE_BITS
+    wide = np.array(
+        [[c >> (1100 - shifts[i % len(shifts)]) for c in row]
+         for i, row in enumerate(rows)],
+        dtype=object,
+    )
+    assume(wide.any(axis=1).all())
+    want = np.array([scaled_floats(row) for row in wide])
+    want = want / np.linalg.norm(want, axis=1, keepdims=True)
+    assert np.array_equal(unit_rows(wide), want)
+
+
+# squarefree cofactors: products of distinct primes, small and near 10^4
+COFACTOR_PRIMES = [2, 3, 5, 7, 11, 13, 31, 97, 4999, 5003, 9973, 10007, 10009]
+SQUAREFREE = st.sets(st.sampled_from(COFACTOR_PRIMES), max_size=6).map(prod)
+RADICANDS = st.one_of(
+    st.integers(1, 2**3000),
+    st.builds(
+        lambda p, e, c: p**e * c,
+        st.sampled_from([2, 3, 5, 7, 97, 9973]),
+        st.integers(2, 80),
+        SQUAREFREE,
+    ),
+    st.builds(
+        lambda p, c: p * p * c, st.sampled_from([9973, 10007, 10009]), SQUAREFREE
+    ),
+    st.integers(1, 2**1500).map(lambda r: r * r),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(n=RADICANDS)
+@example(n=1)
+@example(n=9973**2)
+@example(n=10007**2 * 3)
+def test_squarefree_split_matches_trial_division(n):
+    assert squarefree_split(n) == trial_squarefree_split(n)
+
+
+SURD_RADICANDS = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23]
+COEFFS = st.builds(
+    Fraction,
+    st.integers(-50, 50).filter(bool),
+    st.integers(1, 50),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.sampled_from(SURD_RADICANDS), COEFFS, min_size=2, max_size=4
+    ),
+    bits=st.integers(0, 200),
+    nudge=st.integers(-1, 1),
+)
+def test_surd_sign_matches_mpmath(terms, bits, nudge):
+    # a rational term cancels the surds to within about 2^-bits, as
+    # sqrt(2) + sqrt(3) against a tight rational does; mpmath at twice
+    # those bits (plus a margin) resolves the sign of what is left
+    with mpmath.workprec(bits + 64):
+        v = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(r)
+            for r, c in terms.items()
+        )
+        tight = Fraction(int(mpmath.floor(mpmath.ldexp(v, bits))) + nudge, 2**bits)
+    s = SurdSum({**terms, 1: -tight})
+    assert s.sign() == mp_surd_sign(s.terms, 2 * (bits + 64))
