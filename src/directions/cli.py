@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Sequence
 
 from . import __version__
@@ -211,11 +211,6 @@ def _cmd_enumerate(args) -> None:
     cloud = directions(
         A, args.k, args.distinct, sample=args.sample, seed=args.seed
     )
-    meta = cloud_metadata(cloud)
-    if args.out and args.unit_out:
-        # both files from one expansion: a cloud flagged sampled holds every
-        # row as it stands, and iterates and converts without expanding
-        cloud = replace(cloud, rows=cloud._full_rows(), sampled=True)
     if args.out:
         export_csv(cloud, args.out)
     if args.unit_out:
@@ -224,7 +219,7 @@ def _cmd_enumerate(args) -> None:
             [f"x{i}" for i in range(cloud.k)],
             ([repr(float(v)) for v in row] for row in cloud.unit_points()),
         )
-    _emit(meta, args.meta_out)
+    _emit(cloud_metadata(cloud), args.meta_out)
 
 
 def _cmd_density(args) -> None:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from math import fsum, gcd, inf, sqrt
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 # Unit vectors are accepted as such when | ||x|| - 1 | is at most this.
@@ -39,6 +41,17 @@ def scaled_floats(v: Sequence[float]) -> list[float]:
     """
     d = 1 << max(0, int(max(v)).bit_length() - SCALE_BITS)
     return [c / d for c in v]
+
+
+def _sieve_primes(n: int) -> list[int]:
+    if n < 2:
+        return []
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, int(n**0.5) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return [int(p) for p in np.nonzero(mask)[0]]
 
 
 def normalize(v: Sequence[float]) -> FloatVec:

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import SCALE_BITS
+from .core import SCALE_BITS, _sieve_primes
 from .errors import DomainError, ResourceError
 
 DEFAULT_BUDGET = 10**8
@@ -92,17 +92,6 @@ class GroundSet:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def _sieve_primes(n: int) -> list[int]:
-    if n < 2:
-        return []
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return [int(p) for p in np.nonzero(mask)[0]]
 
 
 def ground_set(rule: str, N: int) -> GroundSet:

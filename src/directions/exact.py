@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
-from .enumeration import _sieve_primes
+from .core import _sieve_primes
 from .errors import DomainError, PrecisionError
 
 # Square factors are extracted from radicands for every prime up to this.

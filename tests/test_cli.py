@@ -397,33 +397,6 @@ class TestArtifacts:
             x = [float(v) for v in line.split(",")]
             assert math.isclose(math.hypot(*x), 1.0, abs_tol=1e-12)
 
-    @pytest.mark.parametrize("ground", [
-        ["--rule", "naturals", "--N", "12"],
-        ["--elements", ",".join(str(10**30 + i) for i in range(8))],
-    ])
-    def test_enumerate_both_csvs_expand_once(
-        self, tmp_path, capsys, monkeypatch, ground
-    ):
-        import directions.enumeration as enumeration
-
-        argv = ["enumerate", *ground, "--k", "3"]
-        out, unit = tmp_path / "out.csv", tmp_path / "unit.csv"
-        assert main(argv + ["--out", str(out)]) == 0
-        alone = capsys.readouterr().out
-        assert main(argv + ["--unit-out", str(unit)]) == 0
-        calls = []
-        expand = enumeration.orbit_rows
-        monkeypatch.setattr(
-            enumeration, "orbit_rows", lambda rows: calls.append(1) or expand(rows)
-        )
-        both, both_unit = tmp_path / "both.csv", tmp_path / "both-unit.csv"
-        capsys.readouterr()
-        assert main(argv + ["--out", str(both), "--unit-out", str(both_unit)]) == 0
-        assert capsys.readouterr().out == alone
-        assert len(calls) == 1
-        assert both.read_bytes() == out.read_bytes()
-        assert both_unit.read_bytes() == unit.read_bytes()
-
     def test_sampled_enumerate_metadata(self, capsys):
         code, out, _ = run(
             capsys,
