@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cmp_to_key, lru_cache
 from math import factorial, inf, prod, sqrt
 from typing import Sequence
 
@@ -59,12 +60,14 @@ class FactorialFloor:
     value: int
 
 
+@lru_cache(maxsize=1)  # the 2k calls of one step share m
+def _factorial_sq(m: int) -> int:
+    return factorial(m) ** 2
+
+
 def _scaled_square(point: TargetPoint, i: int, m: int) -> Fraction:
-    """(m! * y_i)^2 as an exact rational, y_i = coords[i] / ||coords||."""
-    c = point.coords[i]
-    R = point.norm_sq()
-    f = factorial(m)
-    return Fraction(f * f) * c.square() / R
+    """(m! * y_i)^2 as an exact rational, from the point's cached y_i^2."""
+    return _factorial_sq(m) * point.key()[i]
 
 
 def factorial_floor(point: TargetPoint, i: int, m: int) -> FactorialFloor:
@@ -72,8 +75,6 @@ def factorial_floor(point: TargetPoint, i: int, m: int) -> FactorialFloor:
         raise DomainError("step index must be >= 1")
     if not 0 <= i < point.k:
         raise DomainError(f"coordinate {i} out of range")
-    if point.coords[i].is_zero():
-        return FactorialFloor(m=m, i=i, value=0)
     sq = _scaled_square(point, i, m)
     value = sqrt_floor(sq.numerator, sq.denominator)
     return FactorialFloor(m=m, i=i, value=value)
@@ -277,7 +278,6 @@ def verify_construction(
     h: float,
     tolerance: float = 1e-3,
 ) -> VerificationReport:
-    from functools import cache
     from itertools import combinations, product
 
     if not A.steps or A.provenance is None:
@@ -396,12 +396,10 @@ def repetition_demo(k: int, M: int) -> RepetitionReport:
         distance(theta_u, normalize(tup)) for tup in permutations(tail, k)
     )
 
-    best_sq = None
-    for p in spec.points:
-        sq = theta.distance_sq(p)
-        if best_sq is None or (sq - best_sq).sign() < 0:
-            best_sq = sq
-    assert best_sq is not None
+    best_sq = min(
+        (theta.distance_sq(p) for p in spec.points),
+        key=cmp_to_key(SurdSum.compare),
+    )
     sep = best_sq.to_float()
     return RepetitionReport(
         k=k,

@@ -92,6 +92,8 @@ def audit_net(net: SphereNet, samples: int, seed: int = 0) -> tuple[float, bool]
     """
     if samples < 1:
         raise DomainError("need at least one sample")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     pts = np.abs(rng.standard_normal((samples, net.k)))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -187,13 +188,14 @@ class DirectionCloud:
     def as_set(self) -> set[tuple[int, ...]]:
         return set(self)
 
+    @cached_property
     def _full_rows(self) -> np.ndarray:
-        """Every row, lexicographic; the one place a chamber is expanded."""
+        """Every row, lexicographic; a chamber is expanded once per cloud."""
         rows = row_array(self.rows)
         return rows if self.sampled else orbit_rows(rows)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        rows = self._full_rows()
+        rows = self._full_rows
         for start in range(0, len(rows), _ITER_ROWS):
             yield from map(tuple, rows[start : start + _ITER_ROWS].tolist())
 
@@ -201,7 +203,7 @@ class DirectionCloud:
         """Float unit vectors, one row per direction, in iteration order."""
         if self.is_empty:
             return np.zeros((0, self.k))
-        return unit_rows(self._full_rows())
+        return unit_rows(self._full_rows)
 
 
 def row_array(rows) -> np.ndarray:
@@ -284,9 +286,15 @@ def _chamber_blocks(n: int, k: int, distinct: bool) -> Iterator[np.ndarray]:
         a = b
 
 
-def _sampled_block(n: int, k: int, sample: int, seed: int) -> Iterator[np.ndarray]:
-    """The seeded draw as a one-block stream, so the reducer can drop it."""
-    yield np.random.default_rng(seed).integers(0, n, size=(sample, k))
+def _sampled_block(
+    n: int, k: int, sample: int, seed: int, distinct: bool
+) -> Iterator[np.ndarray]:
+    """The seeded draw as a one-block stream holding no reference to it, so
+    the reducer can drop it; distinct indices pick distinct entries."""
+    def draw() -> np.ndarray:
+        idx = np.random.default_rng(seed).integers(0, n, size=(sample, k))
+        return idx[_distinct_mask(idx)] if distinct else idx
+    yield draw()
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
@@ -298,7 +306,7 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _reduce_numpy(
-    elems: np.ndarray, k: int, distinct: bool, blocks: Iterable[np.ndarray]
+    elems: np.ndarray, k: int, blocks: Iterable[np.ndarray]
 ) -> np.ndarray:
     """Sorted distinct primitive forms of the tuples the index blocks pick.
 
@@ -309,8 +317,6 @@ def _reduce_numpy(
     for idx in blocks:
         rows = elems[idx]
         del idx  # free the index block before the sort
-        if distinct:
-            rows = rows[_distinct_mask(rows)]
         if len(rows):
             rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
             pieces.append(_unique_rows(rows))
@@ -362,13 +368,10 @@ def directions(
         if sample is None:
             blocks = _chamber_blocks(n, k, distinct_entries_only)
         else:
-            blocks = _sampled_block(n, k, sample, seed)
+            blocks = _sampled_block(n, k, sample, seed, distinct_entries_only)
         wide = elems[-1] >= _INT64_LIMIT
         rows = _reduce_numpy(
-            np.array(elems, dtype=object if wide else np.int64),
-            k,
-            distinct_entries_only,
-            blocks,
+            np.array(elems, dtype=object if wide else np.int64), k, blocks
         )
         if wide:
             rows = tuple(map(tuple, rows.tolist()))

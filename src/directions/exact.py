@@ -6,8 +6,8 @@ target point (equality of directions, canonical ordering, separations) reduces
 to signs of finite sums of such terms, so this module provides:
 
 ``Surd``
-    a single term q*sqrt(r), with exact multiplication, division and
-    comparison.  Products stay squarefree without factoring because
+    a single term q*sqrt(r), with exact multiplication and comparison.
+    Products stay squarefree without factoring because
     sqrt(a)*sqrt(b) = gcd(a,b)*sqrt((a/g)*(b/g)) and coprime squarefree
     numbers have a squarefree product.
 
@@ -121,13 +121,6 @@ class Surd:
             return Surd(Fraction(0), 1)
         g = gcd(self.r, other.r)
         return Surd(self.q * other.q * g, (self.r // g) * (other.r // g))
-
-    def __truediv__(self, other: "Surd") -> "Surd":
-        if other.q == 0:
-            raise DomainError("division by zero surd")
-        # 1/sqrt(r) = sqrt(r)/r
-        inv = Surd(Fraction(1, 1) / (other.q * other.r), other.r)
-        return self * inv
 
     def square(self) -> Fraction:
         return self.q * self.q * self.r

@@ -21,22 +21,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property
 from itertools import count, cycle, islice, permutations
 from typing import Iterator, Sequence
 
 from .core import FloatVec, normalize
-from .errors import DomainError
+from .enumeration import budget
+from .errors import DomainError, ResourceError
 from .exact import Surd, SurdSum
 
 FINITE = "finite-set"
 FULL_SPHERE = "orthant-sphere-full"
 HYPERPLANE = "hyperplane-boundary"
 _KINDS = (FINITE, FULL_SPHERE, HYPERPLANE)
-
-# (numerator, denominator, radicand) triples of coordinates scaled by the
-# first nonzero coordinate; equal keys iff equal directions.
-PointKey = tuple[tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -68,22 +65,19 @@ class TargetPoint:
     def k(self) -> int:
         return len(self.coords)
 
-    def key(self) -> PointKey:
-        """Canonical exact identity of the direction.
-
-        Scaling by the first nonzero coordinate removes the magnitude; the
-        remaining ratios are single surds and identify the direction.
-        """
-        first = next(c for c in self.coords if not c.is_zero())
-        out = []
-        for c in self.coords:
-            w = c / first
-            out.append((w.q.numerator, w.q.denominator, w.r))
-        return tuple(out)
-
+    @cached_property
     def norm_sq(self) -> Fraction:
         # each coordinate squared is rational, so the squared norm is too
         return sum((c.square() for c in self.coords), Fraction(0))
+
+    @cached_property
+    def _unit_squares(self) -> tuple[Fraction, ...]:
+        return tuple(c.square() / self.norm_sq for c in self.coords)
+
+    def key(self) -> tuple[Fraction, ...]:
+        """Exact identity of the direction: y_i^2 for y = coords/||coords||,
+        which fix y >= 0, so keys sort as the unit vectors do."""
+        return self._unit_squares
 
     def unit(self) -> FloatVec:
         return normalize(tuple(c.to_float() for c in self.coords))
@@ -121,7 +115,7 @@ class TargetPoint:
 
         ||u/|u| - v/|v|||^2 = 2 - 2 (u.v) / sqrt(|u|^2 |v|^2).
         """
-        prod = self.norm_sq() * other.norm_sq()
+        prod = self.norm_sq * other.norm_sq
         # 1/sqrt(P/Q) = (1/P)*sqrt(P*Q)
         inv_norm = Surd.of(Fraction(1, prod.numerator)) * Surd.of(
             1, prod.numerator * prod.denominator
@@ -133,24 +127,9 @@ class TargetPoint:
         return "TargetPoint(" + ", ".join(repr(c) for c in self.coords) + ")"
 
 
-def _cmp_points(a: TargetPoint, b: TargetPoint) -> int:
-    """Exact lexicographic order on normalized coordinates.
-
-    Coordinate i of the normalized points compares as v_i/|v| vs u_i/|u|;
-    both sides are nonnegative, so compare squares cross-multiplied, which
-    is pure rational arithmetic.
-    """
-    na, nb = a.norm_sq(), b.norm_sq()
-    for ca, cb in zip(a.coords, b.coords):
-        lhs = ca.square() * nb
-        rhs = cb.square() * na
-        if lhs != rhs:
-            return -1 if lhs < rhs else 1
-    return 0
-
-
 def canonical_order(points: Sequence[TargetPoint]) -> list[TargetPoint]:
-    return sorted(points, key=cmp_to_key(_cmp_points))
+    """Exact lexicographic order on the normalized coordinates."""
+    return sorted(points, key=TargetPoint.key)
 
 
 @dataclass(frozen=True)
@@ -222,7 +201,7 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     k = points[0].k
     if any(p.k != k for p in points):
         raise DomainError("generators must share one dimension")
-    seen: dict[PointKey, TargetPoint] = {}
+    seen: dict[tuple[Fraction, ...], TargetPoint] = {}
     work = list(points)
     while work:
         p = work.pop()
@@ -267,12 +246,18 @@ def _orthant_directions(k: int, need_zero: bool) -> Iterator[TargetPoint]:
 
     With need_zero, only vectors with at least one zero coordinate (the
     hyperplane union).  The order is frozen: construction provenance and
-    stored artifacts depend on it.
+    stored artifacts depend on it.  Level ``top`` scans (top+1)^k vectors,
+    which must stay within the budget.
     """
     from math import gcd
     from itertools import product
 
     for top in count(1):
+        if (top + 1) ** k > budget():
+            raise ResourceError(
+                f"dense sequence level {top} scans {(top + 1) ** k} vectors, "
+                f"over the budget {budget()}"
+            )
         level = []
         for vec in product(range(top + 1), repeat=k):
             if max(vec) != top:

@@ -182,3 +182,22 @@ def mp_surd_sign(terms, bits):
         if abs(v) <= max(abs(p) for p in parts) * mpmath.ldexp(1, 8 - bits):
             return None
         return 1 if v > 0 else -1
+
+
+def cmp_points(a, b):
+    """Exact lexicographic order on normalized coordinates.
+
+    Coordinate i of the normalized points compares as v_i/|v| vs u_i/|u|;
+    both sides are nonnegative, so compare squares cross-multiplied, which
+    is pure rational arithmetic.  The package's comparator before it sorted
+    by cached squared unit coordinates; the squared norms are summed here
+    rather than read from the points, so nothing cached is shared.
+    """
+    na = sum((c.square() for c in a.coords), Fraction(0))
+    nb = sum((c.square() for c in b.coords), Fraction(0))
+    for ca, cb in zip(a.coords, b.coords):
+        lhs = ca.square() * nb
+        rhs = cb.square() * na
+        if lhs != rhs:
+            return -1 if lhs < rhs else 1
+    return 0

@@ -165,6 +165,11 @@ class TestBadInput:
                 1,
             ),
             (
+                ["net-audit", "--k", "2", "--h", "0.5", "--seed", "-1"],
+                None,
+                1,
+            ),
+            (
                 ["enumerate", "--elements", "1,2,3", "--k", "2",
                  "--out", "DIR/missing/x.csv"],
                 None,
@@ -194,6 +199,7 @@ class TestBadInput:
             "spec-q-zero-denominator",
             "spec-coord-not-object",
             "negative-seed",
+            "negative-seed-net-audit",
             "unwritable-out",
             "unwritable-dump",
         ],

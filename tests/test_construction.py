@@ -81,7 +81,7 @@ class TestFactorialFloor:
                 v = factorial_floor(y, i, m).value
                 f = math.factorial(m)
                 # compare squares: (v)^2 <= f^2 y_i^2 < (v+1)^2
-                yi_sq = y.coords[i].square() / y.norm_sq()
+                yi_sq = y.coords[i].square() / y.norm_sq
                 assert v * v <= f * f * yi_sq < (v + 1) * (v + 1)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from directions import enumeration
+from directions.cli import main
 from directions.construction import construct
 from directions.core import primitive
 from directions.enumeration import (
@@ -189,10 +190,11 @@ class TestBlockMerge:
             assert list(cloud) == want
 
     def test_every_piece_empty(self):
-        # each block holds only tuples with a repeated entry
-        elems = np.array([1, 2, 3], dtype=np.int64)
-        blocks = (np.full((2, 3), i) for i in range(3))
-        rows = enumeration._reduce_numpy(elems, 3, True, blocks)
+        # one index to draw from: every distinct-mode draw repeats it, so
+        # the masked block is empty
+        elems = np.array([7], dtype=np.int64)
+        blocks = enumeration._sampled_block(1, 3, 5, 0, True)
+        rows = enumeration._reduce_numpy(elems, 3, blocks)
         assert rows.shape == (0, 3) and rows.dtype == np.int64
 
 
@@ -200,7 +202,7 @@ class TestIteration:
     def test_slices_match_rows(self, tmp_path):
         cloud = directions(ground_set("naturals", 400), 2)
         assert cloud.count > enumeration._ITER_ROWS
-        full = cloud._full_rows()
+        full = cloud._full_rows
         want = [tuple(int(c) for c in row) for row in full]
         got = list(cloud)
         assert got == want
@@ -214,6 +216,24 @@ class TestIteration:
         writer.writerow(["c0", "c1"])
         writer.writerows([int(c) for c in row] for row in full)
         assert path.read_text(encoding="utf-8") == old.getvalue()
+
+    def test_one_expansion_for_csv_and_unit_rows(self, tmp_path, monkeypatch):
+        calls = []
+        expand = enumeration.orbit_rows
+        monkeypatch.setattr(
+            enumeration, "orbit_rows", lambda rows: calls.append(1) or expand(rows)
+        )
+        out, unit_out = tmp_path / "cloud.csv", tmp_path / "unit.csv"
+        argv = ["enumerate", "--rule", "naturals", "--N", "20", "--k", "3",
+                "--out", str(out), "--unit-out", str(unit_out),
+                "--meta-out", str(tmp_path / "meta.json")]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        # the CSV and the unit rows still list the same directions in order
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        units = np.loadtxt(unit_out, delimiter=",", skiprows=1)
+        assert len(rows) == len(units)
+        assert np.allclose(rows / np.linalg.norm(rows, axis=1, keepdims=True), units)
 
 
 class TestChamber:

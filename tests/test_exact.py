@@ -79,11 +79,6 @@ class TestSurd:
         assert Surd.of(1, 2) * Surd.of(1, 2) == Surd.of(2, 1)
         assert Surd.of(1, 6) * Surd.of(1, 10) == Surd.of(2, 15)
 
-    def test_division(self):
-        assert Surd.of(1, 6) / Surd.of(1, 2) == Surd.of(1, 3)
-        one = Surd.of(1, 7) / Surd.of(1, 7)
-        assert (one.q, one.r) == (Fraction(1), 1)
-
     def test_square(self):
         assert Surd.of(Fraction(2, 3), 5).square() == Fraction(20, 9)
 

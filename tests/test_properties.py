@@ -1,6 +1,8 @@
 """Property tests of the cloud kernel and the exact layer against the oracles."""
 
+import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import permutations
 from math import prod
 
@@ -21,11 +23,18 @@ from directions.enumeration import (
     orbit_rows,
     unit_rows,
 )
-from directions.exact import SurdSum, squarefree_split
+from directions.exact import Surd, SurdSum, squarefree_split
+from directions.targets import (
+    TargetPoint,
+    canonical_order,
+    close_generators,
+    validate_target,
+)
 
 from oracles import (
     arc_covering_radius,
     brute_directions,
+    cmp_points,
     full_covering_radius,
     mp_surd_sign,
     trial_squarefree_split,
@@ -218,3 +227,55 @@ def test_surd_sign_matches_mpmath(terms, bits, nudge):
     want = mp_surd_sign(s.terms, 2 * (bits + 64))
     assume(want is not None)
     assert s.sign() == want
+
+
+TARGET_RADICANDS = st.sampled_from([1, 2, 3, 5, 6, 7])
+TARGET_COORDS = st.tuples(
+    st.builds(Fraction, st.integers(0, 4), st.integers(1, 3)), TARGET_RADICANDS
+)
+
+
+def target_points(k):
+    return (
+        st.lists(TARGET_COORDS, min_size=k, max_size=k)
+        .filter(lambda pairs: any(q for q, _ in pairs))
+        .map(TargetPoint.from_qr)
+    )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    # a generic k=4 point alone closes to about 200 points
+    gens=st.integers(2, 4).flatmap(
+        lambda k: st.lists(target_points(k), min_size=1, max_size=5 - k)
+    ),
+    scale=st.tuples(
+        st.builds(Fraction, st.integers(1, 5), st.integers(1, 5)), TARGET_RADICANDS
+    ),
+    rnd=st.randoms(use_true_random=False),
+)
+@example(
+    gens=[
+        TargetPoint.from_qr([(1, 1), (1, 2), (Fraction(2, 3), 3)]),
+        TargetPoint.from_qr([(1, 6), (1, 1), (0, 1)]),
+    ],
+    scale=(Fraction(2, 3), 6),
+    rnd=random.Random(0),
+)
+def test_closure_is_admissible_and_keys_order_as_oracle(gens, scale, rnd):
+    spec = close_generators(gens)
+    again = close_generators(spec.points)
+    assert [p.key() for p in again.points] == [p.key() for p in spec.points]
+    assert validate_target(spec).passed
+    # a surd multiple of a point names the same direction
+    c = Surd.of(*scale)
+    twins = [TargetPoint(tuple(x * c for x in p.coords)) for p in spec.points]
+    for p, twin in zip(spec.points, twins):
+        assert p.key() == twin.key() and cmp_points(p, twin) == 0
+    for a, b in zip(spec.points, spec.points[1:]):
+        assert a.key() != b.key() and cmp_points(a, b) < 0
+    mixed = list(spec.points) + twins
+    rnd.shuffle(mixed)
+    for a, b in zip(mixed, mixed[1:]):
+        assert (a.key() == b.key()) == (cmp_points(a, b) == 0)
+    assert canonical_order(mixed) == sorted(mixed, key=cmp_to_key(cmp_points))

@@ -8,7 +8,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from directions.density import sphere_net
-from directions.errors import DomainError
+from directions.errors import DomainError, ResourceError
 from directions.targets import (
     FINITE,
     FULL_SPHERE,
@@ -51,7 +51,7 @@ class TestTargetPoint:
 
     def test_norm_sq_rational(self):
         p = TargetPoint.from_qr([(1, 2), (1, 3)])
-        assert p.norm_sq() == Fraction(5)
+        assert p.norm_sq == Fraction(5)
 
     def test_distance_sq_known_pair(self):
         # ||rho(1,1) - rho(1,2)||^2 = 2 - 6/sqrt(10)
@@ -269,6 +269,15 @@ class TestEnumeration:
         s = TargetSpec(kind=FULL_SPHERE, k=2)
         with pytest.raises(DomainError):
             enumerate_dense(s, 0)
+
+    def test_level_scan_within_budget(self, monkeypatch):
+        # level top scans (top + 1)^k vectors: 2^6 = 64 at k=6, 2^7 at k=7
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "100")
+        assert len(dense_prefix(TargetSpec(kind=FULL_SPHERE, k=6), 3)) == 3
+        with pytest.raises(ResourceError):
+            dense_prefix(TargetSpec(kind=FULL_SPHERE, k=7), 1)
+        # 20 hyperplane points in k=3 need levels up to 3, 4^3 = 64 vectors
+        assert len(dense_prefix(TargetSpec(kind=HYPERPLANE, k=3), 20)) == 20
 
     def test_orthant_prefix_becomes_dense(self):
         s = TargetSpec(kind=FULL_SPHERE, k=2)
