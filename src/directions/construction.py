@@ -33,11 +33,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
+from itertools import combinations, permutations, product
 from math import factorial, inf, prod, sqrt
 from typing import Sequence
 
 from .core import FloatVec, distance, normalize, primitive
-from .enumeration import GroundSet, budget
+from .enumeration import GroundSet, budget, directions
 from .errors import CertificateError, DomainError, ResourceError
 from .exact import SurdSum, sqrt_floor
 from .targets import (
@@ -46,6 +47,7 @@ from .targets import (
     TargetPoint,
     TargetSpec,
     _coord_to_json,
+    close_generators,
     dense_prefix,
     validate_target,
 )
@@ -278,8 +280,6 @@ def verify_construction(
     h: float,
     tolerance: float = 1e-3,
 ) -> VerificationReport:
-    from itertools import combinations, product
-
     if not A.steps or A.provenance is None:
         raise DomainError("ground set carries no construction trace")
     if M > len(A.steps):
@@ -369,11 +369,6 @@ class RepetitionReport:
 
 def repetition_demo(k: int, M: int) -> RepetitionReport:
     """Build the closure of (1, sqrt(2), 0, ..) and probe both clouds."""
-    from itertools import permutations
-
-    from .enumeration import directions
-    from .targets import close_generators
-
     if k < 3:
         raise DomainError("the repetition demonstration needs k >= 3")
     if M < 2:

@@ -62,6 +62,9 @@ def sphere_net(k: int, h: float) -> SphereNet:
         raise DomainError("net dimension must be >= 2")
     if not 0 < h <= 1:
         raise DomainError("resolution must satisfy 0 < h <= 1")
+    if k / h > budget():
+        # the net has more than d = ceil(k/h) points, and k/h may be inf
+        raise ResourceError(f"net at h={h} is over the budget {budget()}")
     d = ceil(k / h)
     total = (d + 1) ** k - d**k
     if total > budget():

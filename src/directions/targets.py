@@ -22,12 +22,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, cycle, islice, permutations
+from itertools import combinations, count, cycle, islice, permutations, product
+from math import gcd
 from typing import Iterator, Sequence
 
 from .core import FloatVec, normalize
-from .enumeration import budget
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .exact import Surd, SurdSum
 
 FINITE = "finite-set"
@@ -154,47 +154,45 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    closed_ok: bool
     permutation_ok: bool
     projection_ok: bool
     witnesses: tuple[tuple[TargetPoint, str], ...]
-    verdict: str  # "valid" | "invalid"
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "valid"
-
-
-def _meeting_index_sets(point: TargetPoint) -> Iterator[tuple[int, ...]]:
-    k = point.k
-    support = [i for i in range(k) if not point.coords[i].is_zero()]
-    for mask in range(1, 1 << k):
-        members = tuple(i for i in range(k) if mask >> i & 1)
-        if any(i in members for i in support):
-            yield members
+        return not self.witnesses
 
 
 def _orbit(
     point: TargetPoint,
 ) -> Iterator[tuple[TargetPoint, str, tuple[int, ...]]]:
-    """Images of point under every permutation, then every restriction.
+    """Images of point under the maps that generate both symmetries.
 
-    Restrictions run over the index sets that meet the point.  Each image
+    The k - 1 adjacent transpositions generate every permutation.  Zeroing
+    one coordinate at a time reaches every restriction to an index set that
+    meets the point, and each step leaves a nonzero point.  So a finite set
+    that holds these images of its points is closed under both.  Each image
     comes with the kind of map and its indices, which name it in a
     validation witness.
     """
-    for order in permutations(range(point.k)):
+    k = point.k
+    for i in range(k - 1):
+        order = (*range(i), i + 1, i, *range(i + 2, k))
         yield point.permuted(order), "permutation", order
-    for members in _meeting_index_sets(point):
-        yield point.restricted(members), "projection onto", members
+    for i in range(k):
+        members = tuple(j for j in range(k) if j != i)
+        if any(not point.coords[j].is_zero() for j in members):
+            yield point.restricted(members), "projection onto", members
 
 
 def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     """Smallest superset closed under permutations and index projections.
 
-    Fixpoint iteration with exact dedup; finite input gives finite output
-    because permutations and projections of a finite set generate finitely
-    many directions.
+    A restriction of a permuted point is a permutation of a restricted one,
+    so the closure is every permutation of every restriction of a generator
+    to an index set that meets it, deduplicated on the exact key.  The first
+    point seen of each direction is kept: generators last-first, index sets
+    largest mask first.
     """
     if not points:
         raise DomainError("need at least one generator")
@@ -202,14 +200,15 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     if any(p.k != k for p in points):
         raise DomainError("generators must share one dimension")
     seen: dict[tuple[Fraction, ...], TargetPoint] = {}
-    work = list(points)
-    while work:
-        p = work.pop()
-        key = p.key()
-        if key in seen:
-            continue
-        seen[key] = p
-        work.extend(q for q, _, _ in _orbit(p))
+    for p in reversed(points):
+        for mask in range((1 << k) - 1, 0, -1):
+            members = [i for i in range(k) if mask >> i & 1]
+            if all(p.coords[i].is_zero() for i in members):
+                continue
+            part = p.restricted(members)
+            for order in permutations(range(k)):
+                q = part.permuted(order)
+                seen.setdefault(q.key(), q)
     closed = canonical_order(seen.values())
     return TargetSpec(kind=FINITE, k=k, points=tuple(closed))
 
@@ -217,7 +216,7 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
 def validate_target(spec: TargetSpec) -> ValidityReport:
     """Check admissibility exactly; built-in kinds pass by proof."""
     if spec.kind in (FULL_SPHERE, HYPERPLANE):
-        return ValidityReport(True, True, True, (), "valid")
+        return ValidityReport(True, True, ())
     keys = {p.key() for p in spec.points}
     witnesses: list[tuple[TargetPoint, str]] = []
     failed: set[str] = set()
@@ -226,17 +225,10 @@ def validate_target(spec: TargetSpec) -> ValidityReport:
             if q.key() not in keys:
                 failed.add(kind)
                 witnesses.append((p, f"missing {kind} {indices}"))
-    permutation_ok = "permutation" not in failed
-    projection_ok = "projection onto" not in failed
-    # a finite point set is closed as a subset of the sphere
-    closed_ok = True
-    ok = closed_ok and permutation_ok and projection_ok
     return ValidityReport(
-        closed_ok,
-        permutation_ok,
-        projection_ok,
+        "permutation" not in failed,
+        "projection onto" not in failed,
         tuple(witnesses),
-        "valid" if ok else "invalid",
     )
 
 
@@ -246,34 +238,18 @@ def _orthant_directions(k: int, need_zero: bool) -> Iterator[TargetPoint]:
 
     With need_zero, only vectors with at least one zero coordinate (the
     hyperplane union).  The order is frozen: construction provenance and
-    stored artifacts depend on it.  Level ``top`` scans (top+1)^k vectors,
-    which must stay within the budget.
+    stored artifacts depend on it.  Each level is generated in that order,
+    one support at a time, so no level is held or sorted.
     """
-    from math import gcd
-    from itertools import product
-
     for top in count(1):
-        if (top + 1) ** k > budget():
-            raise ResourceError(
-                f"dense sequence level {top} scans {(top + 1) ** k} vectors, "
-                f"over the budget {budget()}"
-            )
-        level = []
-        for vec in product(range(top + 1), repeat=k):
-            if max(vec) != top:
-                continue
-            if need_zero and 0 not in vec:
-                continue
-            g = 0
-            for c in vec:
-                g = gcd(g, c)
-            if g != 1:
-                continue
-            support = tuple(i for i, c in enumerate(vec) if c)
-            level.append((len(support), support, vec))
-        level.sort()
-        for _, _, vec in level:
-            yield TargetPoint.from_ints(*vec)
+        for size in range(1, k if need_zero else k + 1):
+            for support in combinations(range(k), size):
+                for entries in product(range(1, top + 1), repeat=size):
+                    if top in entries and gcd(*entries) == 1:
+                        vec = [0] * k
+                        for i, e in zip(support, entries):
+                            vec[i] = e
+                        yield TargetPoint.from_ints(*vec)
 
 
 def _dense_sequence(spec: TargetSpec) -> Iterator[TargetPoint]:
@@ -305,8 +281,15 @@ def _coord_to_json(c: Surd) -> dict:
     return {"q": f"{c.q.numerator}/{c.q.denominator}", "r": c.r}
 
 
-def _coord_from_json(obj: dict) -> Surd:
-    return Surd.of(Fraction(obj["q"]), int(obj["r"]))
+def _coord_from_json(obj: dict, path: str) -> Surd:
+    q, r = obj["q"], obj["r"]
+    # JSON floats would round and booleans pass as ints, so neither is taken
+    if type(q) not in (str, int) or type(r) is not int:
+        raise DomainError(
+            f"spec file {path!r}: coordinate {obj!r} needs a string or "
+            "integer q and an integer r"
+        )
+    return Surd.of(Fraction(q), r)
 
 
 def save_spec(spec: TargetSpec, path: str) -> None:
@@ -331,10 +314,12 @@ def load_spec(path: str) -> TargetSpec:
     if not isinstance(doc, dict) or "k" not in doc:
         raise DomainError(f"spec file {path!r} has no 'k' field")
     kind = doc.get("kind", FINITE)
+    k = doc["k"]
+    if type(k) is not int:
+        raise DomainError(f"spec file {path!r}: 'k' must be an integer, not {k!r}")
     try:
-        k = int(doc["k"])
         pts = [
-            TargetPoint(tuple(_coord_from_json(c) for c in row))
+            TargetPoint(tuple(_coord_from_json(c, path) for c in row))
             for row in (doc["generators"] if kind == FINITE else ())
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

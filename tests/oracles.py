@@ -4,7 +4,10 @@ Everything here is written the slow, obvious way with no shared code
 with the package: brute-force tuple enumeration, float fixpoint closure,
 covering radii over the expanded cloud and from exact arc gaps, and
 high-precision floors via mpmath.  Expected values frozen into the
-test modules were produced by these oracles.
+test modules were produced by these oracles.  The searches the target
+layer replaced (level-sorted dense sequence, work-list closure, full-orbit
+validation) are kept as written; the last two apply the package's own
+TargetPoint maps and keys, so they pin generation against search.
 """
 
 from __future__ import annotations
@@ -114,6 +117,82 @@ def float_closure(points, tol=1e-9):
                         nxt.append(q)
         frontier = nxt
     return seen
+
+
+def level_sorted_directions(k, need_zero):
+    """All primitive integer directions, by max entry, then support size,
+    then support position, then entries, each lexicographically.
+
+    The package's dense sequence before it generated each level in order:
+    every level of (top+1)^k vectors is built, filtered and sorted before
+    its first vector is yielded.  Yields int tuples.
+    """
+    for top in itertools.count(1):
+        level = []
+        for vec in itertools.product(range(top + 1), repeat=k):
+            if max(vec) != top:
+                continue
+            if need_zero and 0 not in vec:
+                continue
+            g = 0
+            for c in vec:
+                g = math.gcd(g, c)
+            if g != 1:
+                continue
+            support = tuple(i for i, c in enumerate(vec) if c)
+            level.append((len(support), support, vec))
+        level.sort()
+        for _, _, vec in level:
+            yield vec
+
+
+def meeting_index_sets(point):
+    k = point.k
+    support = [i for i in range(k) if not point.coords[i].is_zero()]
+    for mask in range(1, 1 << k):
+        members = tuple(i for i in range(k) if mask >> i & 1)
+        if any(i in members for i in support):
+            yield members
+
+
+def full_orbit(point):
+    """Images of point under every permutation, then every restriction."""
+    for order in itertools.permutations(range(point.k)):
+        yield point.permuted(order), "permutation", order
+    for members in meeting_index_sets(point):
+        yield point.restricted(members), "projection onto", members
+
+
+def worklist_closure(points):
+    """Fixpoint closure of target points, in key order.
+
+    The package's closure before it generated permuted restrictions in one
+    pass: pop a point, keep it if its key is new, push its whole orbit.
+    """
+    seen = {}
+    work = list(points)
+    while work:
+        p = work.pop()
+        key = p.key()
+        if key in seen:
+            continue
+        seen[key] = p
+        work.extend(q for q, _, _ in full_orbit(p))
+    return sorted(seen.values(), key=lambda p: p.key())
+
+
+def full_orbit_validation(points):
+    """(permutation_ok, projection_ok, passed) from every orbit image.
+
+    The package's validation before it checked only the generating maps.
+    """
+    keys = {p.key() for p in points}
+    failed = set()
+    for p in points:
+        for q, kind, _ in full_orbit(p):
+            if q.key() not in keys:
+                failed.add(kind)
+    return "permutation" not in failed, "projection onto" not in failed, not failed
 
 
 def mp_floor_scaled(coords_qr, i, m, dps=1200):

@@ -181,6 +181,30 @@ class TestBadInput:
                 None,
                 1,
             ),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": 2.5, "generators": [[{"q": "1", "r": 1}, '
+                '{"q": "1", "r": 2}]]}',
+                1,
+            ),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": 2, "generators": [[{"q": "1", "r": 2.7}, '
+                '{"q": "1", "r": 1}]]}',
+                1,
+            ),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": 2, "generators": [[{"q": 0.1, "r": 1}, '
+                '{"q": "1", "r": 2}]]}',
+                1,
+            ),
+            (
+                ["density", "--rule", "naturals", "--N", "10", "--k", "2",
+                 "--h", "1e-320"],
+                None,
+                2,
+            ),
         ],
         ids=[
             "elements",
@@ -202,6 +226,10 @@ class TestBadInput:
             "negative-seed-net-audit",
             "unwritable-out",
             "unwritable-dump",
+            "spec-k-float",
+            "spec-r-float",
+            "spec-q-float",
+            "tiny-h",
         ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):

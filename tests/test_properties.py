@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import permutations
+from itertools import cycle, islice, permutations
 from math import prod
 
 import mpmath
@@ -25,9 +25,14 @@ from directions.enumeration import (
 )
 from directions.exact import Surd, SurdSum, squarefree_split
 from directions.targets import (
+    FINITE,
+    FULL_SPHERE,
+    HYPERPLANE,
     TargetPoint,
+    TargetSpec,
     canonical_order,
     close_generators,
+    dense_prefix,
     validate_target,
 )
 
@@ -36,8 +41,11 @@ from oracles import (
     brute_directions,
     cmp_points,
     full_covering_radius,
+    full_orbit_validation,
+    level_sorted_directions,
     mp_surd_sign,
     trial_squarefree_split,
+    worklist_closure,
 )
 
 # small entries make duplicate rows common; full-width ones test wide keys
@@ -279,3 +287,39 @@ def test_closure_is_admissible_and_keys_order_as_oracle(gens, scale, rnd):
     for a, b in zip(mixed, mixed[1:]):
         assert (a.key() == b.key()) == (cmp_points(a, b) == 0)
     assert canonical_order(mixed) == sorted(mixed, key=cmp_to_key(cmp_points))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    gens=st.integers(2, 4).flatmap(
+        lambda k: st.lists(target_points(k), min_size=1, max_size=5 - k)
+    ),
+    rnd=st.randoms(use_true_random=False),
+)
+@example(
+    # two proportional coordinate pairs: the one generator seen whose
+    # closure keeps other representatives than the work list's
+    gens=[TargetPoint.from_qr([(1, 3), (2, 5), (6, 5), (3, 3)])],
+    rnd=random.Random(0),
+)
+def test_generated_closure_and_validation_match_search(gens, rnd):
+    spec = close_generators(gens)
+    assert [p.key() for p in spec.points] == [
+        p.key() for p in worklist_closure(gens)
+    ]
+    kept = rnd.sample(spec.points, rnd.randint(1, len(spec.points)))
+    rep = validate_target(TargetSpec(kind=FINITE, k=spec.k, points=tuple(kept)))
+    assert (rep.permutation_ok, rep.projection_ok, rep.passed) == (
+        full_orbit_validation(kept)
+    )
+
+
+@pytest.mark.parametrize("kind", [FULL_SPHERE, HYPERPLANE])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_dense_stream_matches_level_sort(k, kind):
+    want = level_sorted_directions(k, need_zero=kind == HYPERPLANE)
+    if kind == HYPERPLANE and k == 2:
+        # the union is {(1, 0), (0, 1)}; later levels hold no vector
+        want = cycle(islice(want, 2))
+    got = dense_prefix(TargetSpec(kind=kind, k=k), 400)
+    assert got == [TargetPoint.from_ints(*v) for v in islice(want, 400)]
