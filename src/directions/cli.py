@@ -18,6 +18,8 @@ import sys
 from dataclasses import asdict
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .construction import (
     construct,
@@ -215,9 +217,7 @@ def _cmd_enumerate(args) -> None:
         export_csv(cloud, args.out)
     if args.unit_out:
         _write_csv(
-            args.unit_out,
-            [f"x{i}" for i in range(cloud.k)],
-            ([repr(float(v)) for v in row] for row in cloud.unit_points()),
+            args.unit_out, [f"x{i}" for i in range(cloud.k)], cloud.unit_points()
         )
     _emit(cloud_metadata(cloud), args.meta_out)
 
@@ -235,14 +235,10 @@ def _cmd_ratio_gap(args) -> None:
     A = _build_ground(args)
     stat = ratio_gap(A, args.windows)
     if args.trend_out:
-        _write_csv(
-            args.trend_out,
-            ["window", "first_index", "last_index", "max_gap"],
-            (
-                [i, lo, hi, repr(g)]
-                for i, ((lo, hi), g) in enumerate(zip(stat.windows, stat.trend))
-            ),
-        )
+        rows = [(i, *w, g) for i, (w, g) in enumerate(zip(stat.windows, stat.trend))]
+        header = ["window", "first_index", "last_index", "max_gap"]
+        # an object array keeps the int columns ints beside the floats
+        _write_csv(args.trend_out, header, np.array(rows, dtype=object))
     _emit(
         {
             "rule": A.rule,
@@ -282,7 +278,8 @@ def _cmd_construct(args) -> None:
     if args.dump:
         dump_construction(A, args.dump)
     if args.elements_out:
-        _write_csv(args.elements_out, ["element"], ([str(e)] for e in A.elements))
+        column = np.array([A.elements], dtype=object).T  # exact Python ints
+        _write_csv(args.elements_out, ["element"], column)
     doc = {
         "spec_kind": spec.kind,
         "k": spec.k,

@@ -129,7 +129,7 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
     rows = row_array(cloud.rows)
     units = unit_rows(rows)
     if cloud.sampled:
-        dists, _ = cKDTree(units).query(net.points, k=1)
+        dists, _ = _cloud_tree(units).query(net.points, k=1)
         at = int(np.argmax(dists))
         radius = float(dists[at])
     else:
@@ -147,6 +147,11 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
     )
 
 
+def _cloud_tree(units: np.ndarray) -> cKDTree:
+    # a query's distances do not depend on the tree's shape; this one builds faster
+    return cKDTree(units, balanced_tree=False, compact_nodes=False)
+
+
 # Distances this close may be one distance rounded along two coordinate
 # orders; _chamber_radius settles such near-ties on expanded rows.
 _TIE = 1e-9
@@ -158,14 +163,14 @@ def _chamber_radius(
     """Covering radius and first argmax of an exhaustive cloud's chamber."""
     pts, d = net.points, net.denominator
     chamber = np.flatnonzero((pts[:, 1:] >= pts[:, :-1]).all(axis=1))
-    dists, _ = cKDTree(units).query(pts[chamber], k=1)
+    dists, _ = _cloud_tree(units).query(pts[chamber], k=1)
     top = dists >= dists.max() - _TIE
     found = []
     for i, dist in zip(chamber[top], dists[top]):
         near = rows[np.linalg.norm(units - pts[i], axis=1) <= dist + _TIE]
         v = np.rint(pts[i] * d / pts[i, -1]).astype(np.int64)  # largest entry d
         orbit = sorted(_net_index(p, d) for p in orbit_rows(v[None, :]).tolist())
-        got, _ = cKDTree(unit_rows(orbit_rows(near))).query(pts[orbit], k=1)
+        got, _ = _cloud_tree(unit_rows(orbit_rows(near))).query(pts[orbit], k=1)
         found += zip(got.tolist(), orbit)
     radius = max(g for g, _ in found)
     return radius, min(j for g, j in found if g == radius)

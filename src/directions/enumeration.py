@@ -21,11 +21,13 @@ elements, reduced by their gcd, which keeps them sorted.  ``count`` sums
 the orbit sizes k!/prod(m!) over the entries' multiplicities m, and
 iteration, CSV export and ``unit_points`` see every row through one
 expansion, ``orbit_rows``, which builds each distinct arrangement once.
+Dedupe and expansion share one row sort: one ``np.sort`` of packed int64 keys
+for nonnegative int64 rows with k * bit_length(max) <= 63, else ``lexsort``.
+One writer formats every CSV from array slices with ``%s``.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,9 +48,8 @@ _INT64_LIMIT = 1 << 62
 
 _CHUNK = 1 << 20
 
-# rows converted to Python ints at a time when a cloud is iterated; a small
-# slice keeps those lists out of the process's peak memory
-_ITER_ROWS = 1 << 12
+# rows per slice of Python objects when iterating or writing, to bound peak memory
+_ITER_ROWS = 1 << 14
 
 
 def budget() -> int:
@@ -233,7 +234,8 @@ def orbit_rows(rows: np.ndarray) -> np.ndarray:
             for j, p in enumerate(fresh)
         ])
     placed = np.concatenate([placed, rest], axis=1)
-    return placed[np.lexsort(placed.T[::-1])]
+    del rest  # one array fewer held during the sort
+    return _sort_rows(placed, unique=False)
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -297,12 +299,27 @@ def _sampled_block(
     yield draw()
 
 
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows of a 2-D integer array in lexicographic order."""
+def _sort_rows(rows: np.ndarray, unique: bool) -> np.ndarray:
+    """Lexicographically sorted rows, same dtype, each once if ``unique``;
+    packed keys hold entry 0 in their top bits, so they sort in row order."""
+    n, k = rows.shape
+    packs = rows.dtype == np.int64 and n and rows.min() >= 0
+    bits = int(rows.max()).bit_length() if packs else 64
+    if k * bits <= 63:
+        key = np.zeros(n, dtype=np.int64)
+        for j in range(k):
+            key <<= bits
+            key |= rows[:, j]
+        key.sort()
+        if unique:
+            key = key[np.r_[True, key[1:] != key[:-1]]]
+        rows = key[:, None] >> bits * np.arange(k - 1, -1, -1)
+        rows &= (1 << bits) - 1
+        return rows
     rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    if unique:
+        rows = np.concatenate([rows[:1], rows[1:][(rows[1:] != rows[:-1]).any(axis=1)]])
+    return rows
 
 
 def _reduce_numpy(
@@ -319,12 +336,12 @@ def _reduce_numpy(
         del idx  # free the index block before the sort
         if len(rows):
             rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
-            pieces.append(_unique_rows(rows))
+            pieces.append(_sort_rows(rows, unique=True))
     if not pieces:
         return np.zeros((0, k), dtype=np.int64)
     if len(pieces) == 1:
         return pieces[0]
-    return _unique_rows(np.concatenate(pieces))
+    return _sort_rows(np.concatenate(pieces), unique=True)
 
 
 def directions(
@@ -387,19 +404,20 @@ def directions(
     )
 
 
-def _write_csv(
-    path: str, header: Sequence[str], rows: Iterable[Sequence[object]]
-) -> None:
-    """LF-terminated CSV, the same bytes on every platform."""
+def _write_csv(path: str, header: Sequence[str], rows: np.ndarray) -> None:
+    """LF-terminated CSV of a 2-D array, the same bytes on every platform;
+    ``%s`` prints an int as str and a float as repr, as csv.writer does."""
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _ITER_ROWS):
+            chunk = rows[start : start + _ITER_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def export_csv(cloud: DirectionCloud, path: str) -> None:
     """One primitive direction per row, plain integer entries."""
-    _write_csv(path, [f"c{i}" for i in range(cloud.k)], cloud)
+    _write_csv(path, [f"c{i}" for i in range(cloud.k)], cloud._full_rows)
 
 
 def cloud_metadata(cloud: DirectionCloud) -> dict:

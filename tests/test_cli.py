@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -16,6 +18,15 @@ from directions.cli import main
 # five elements near 10^400, and a consecutive ratio of 10^400 / 3
 HUGE_FIVE = ",".join(str(10**400 + i) for i in range(5))
 HUGE_RATIO = "1,2,3," + str(10**400)
+
+
+def csv_writer_bytes(header, rows):
+    """The bytes csv.writer writes for these rows: the reference CSV."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
 def run(capsys, *argv):
@@ -430,6 +441,10 @@ class TestArtifacts:
         for line in lines[1:]:
             x = [float(v) for v in line.split(",")]
             assert math.isclose(math.hypot(*x), 1.0, abs_tol=1e-12)
+        # floats print as repr, byte for byte what csv.writer writes
+        units = directions.directions(directions.ground_set("naturals", 6), 3)
+        want = ([repr(float(v)) for v in row] for row in units.unit_points())
+        assert unit_csv.read_bytes() == csv_writer_bytes(["x0", "x1", "x2"], want)
 
     def test_sampled_enumerate_metadata(self, capsys):
         code, out, _ = run(
@@ -457,9 +472,17 @@ class TestArtifacts:
         assert [int(r[0]) for r in rows] == list(range(5))
         assert [[int(r[1]), int(r[2])] for r in rows] == doc["windows"]
         assert [float(r[3]) for r in rows] == doc["trend"]
+        # int columns stay ints beside the float column
+        stat = directions.ratio_gap(directions.ground_set("primes", 1000), 5)
+        want = (
+            [i, lo, hi, repr(g)]
+            for i, ((lo, hi), g) in enumerate(zip(stat.windows, stat.trend))
+        )
+        header = ["window", "first_index", "last_index", "max_gap"]
+        assert trend_csv.read_bytes() == csv_writer_bytes(header, want)
 
     def test_construct_dump(self, tmp_path, capsys):
-        dump = tmp_path / "trace.jsonl"
+        dump, elements_csv = tmp_path / "trace.jsonl", tmp_path / "elements.csv"
         code, _, _ = run(
             capsys,
             "construct",
@@ -468,14 +491,23 @@ class TestArtifacts:
             "--k",
             "2",
             "--M",
-            "5",
+            "25",
             "--dump",
             str(dump),
+            "--elements-out",
+            str(elements_csv),
         )
         assert code == 0
         lines = dump.read_text().splitlines()
-        assert len(lines) == 5
+        assert len(lines) == 25
         assert json.loads(lines[0])["step"] == 1
+        # elements past int64 print as exact Python ints
+        A = directions.construct(
+            directions.TargetSpec(kind="orthant-sphere-full", k=2), 25
+        )
+        assert A.elements[-1] > 2**63
+        want = ([str(e)] for e in A.elements)
+        assert elements_csv.read_bytes() == csv_writer_bytes(["element"], want)
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         argv = [

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from directions.core import scaled_floats
 from directions.density import covering_radius, sphere_net
 from directions.enumeration import (
-    _unique_rows,
+    _sort_rows,
     directions,
     explicit_ground_set,
     ground_set,
@@ -48,41 +48,71 @@ from oracles import (
     worklist_closure,
 )
 
-# small entries make duplicate rows common; full-width ones test wide keys
-ENTRIES = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1))
+
+def entries(bits):
+    """Entries below 2^bits: small ones make duplicate rows common, 0 is
+    an entry of net vectors, and the top value pins the row maximum."""
+    return st.one_of(
+        st.integers(0, 3), st.integers(0, (1 << bits) - 1), st.just((1 << bits) - 1)
+    )
+
+
+def key_widths(k):
+    """Entry widths on both sides of the packed key's edge: k * bits <= 63
+    packs into one int64 key, one bit more takes lexsort; 63 bits is the
+    full int64 range."""
+    return st.sampled_from(sorted({63 // k, min(63 // k + 1, 63), 63}))
 
 
 def row_arrays():
     return st.integers(2, 5).flatmap(
-        lambda k: arrays(
-            np.int64, st.tuples(st.integers(1, 40), st.just(k)), elements=ENTRIES
+        lambda k: key_widths(k).flatmap(
+            lambda bits: arrays(
+                np.int64,
+                st.tuples(st.integers(1, 40), st.just(k)),
+                elements=entries(bits),
+            )
+        )
+    )
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(rows=row_arrays())
+@example(rows=np.array([[5, 1]], dtype=np.int64))
+@example(rows=np.full((6, 3), 7, dtype=np.int64))
+@example(rows=np.array([[2, 9, 1, 4, 4]] * 3 + [[2, 9, 1, 4, 3]], dtype=np.int64))
+@example(rows=np.array([[1 << 70, 0], [3, 1 << 64], [1 << 70, 0]], dtype=object))
+@example(rows=np.zeros((0, 3), dtype=np.int64))
+def test_unique_rows_matches_np_unique(rows):
+    got = _sort_rows(rows, unique=True)
+    assert got.dtype == rows.dtype
+    if rows.dtype == object:  # np.unique takes no object rows by axis
+        want = sorted(set(map(tuple, rows.tolist())))
+        assert [tuple(r) for r in got.tolist()] == want
+    else:
+        assert np.array_equal(got, np.unique(rows, axis=0))
+
+
+def sorted_rows():
+    return st.integers(1, 6).flatmap(
+        lambda k: key_widths(k).flatmap(
+            lambda bits: st.lists(
+                st.lists(entries(bits), min_size=k, max_size=k).map(sorted),
+                min_size=1, max_size=5, unique_by=tuple,
+            )
         )
     )
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
-@given(rows=row_arrays())
-@example(rows=np.array([[5, 1]], dtype=np.int64))
-@example(rows=np.full((6, 3), 7, dtype=np.int64))
-@example(rows=np.array([[2, 9, 1, 4, 4]] * 3 + [[2, 9, 1, 4, 3]], dtype=np.int64))
-def test_unique_rows_matches_np_unique(rows):
-    assert np.array_equal(_unique_rows(rows), np.unique(rows, axis=0))
-
-
-def sorted_rows():
-    return st.integers(1, 6).flatmap(
-        lambda k: st.lists(
-            st.lists(st.integers(0, 3), min_size=k, max_size=k).map(sorted),
-            min_size=1, max_size=5, unique_by=tuple,
-        )
-    )
-
-
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(rows=sorted_rows())
-def test_orbit_rows_lists_each_arrangement_once(rows):
-    got = orbit_rows(np.array(rows, dtype=np.int64))
+@given(rows=sorted_rows(), wide=st.booleans())
+def test_orbit_rows_lists_each_arrangement_once(rows, wide):
+    # wide rows are object rows of Python ints past int64
+    shift, dtype = (64, object) if wide else (0, np.int64)
+    rows = [[c << shift for c in row] for row in rows]
+    got = orbit_rows(np.array(rows, dtype=dtype))
     want = sorted({p for row in rows for p in permutations(row)})
+    assert got.dtype == dtype
     assert [tuple(r) for r in got.tolist()] == want
 
 
