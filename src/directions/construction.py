@@ -99,11 +99,6 @@ class ConstructionState:
 
     ratio_registry: set[tuple[int, ...]] = field(default_factory=set)
     records: list[StepRecord] = field(default_factory=list)
-    provenance: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-
-    @property
-    def steps_done(self) -> int:
-        return len(self.records)
 
 
 def _check_step_certificates(
@@ -135,13 +130,10 @@ def _check_step_certificates(
 
 
 def construct_step(
-    point: TargetPoint, m: int, state: ConstructionState
+    point: TargetPoint, state: ConstructionState
 ) -> tuple[int, ...]:
-    """Realize the step-m target point and fold the tuple into the state."""
-    if m != state.steps_done + 1:
-        raise DomainError(
-            f"steps must run in order; expected {state.steps_done + 1}, got {m}"
-        )
+    """Realize point as step m = len(state.records) + 1; fold it into state."""
+    m = len(state.records) + 1
     k = point.k
     floors = tuple(factorial_floor(point, i, m).value for i in range(k))
     pre: list[int] = []
@@ -165,8 +157,6 @@ def construct_step(
     values = tuple(v + chosen_t for v in pre)
     err = _check_step_certificates(point, m, values)
     state.ratio_registry.add(primitive((values[0], values[1])))
-    for i, v in enumerate(values):
-        state.provenance.setdefault(v, []).append((i, m))
     state.records.append(
         StepRecord(
             step=m,
@@ -194,14 +184,13 @@ def construct(spec: TargetSpec, M: int) -> GroundSet:
         raise DomainError("step count must be >= 0")
     _require_valid(spec)
     state = ConstructionState()
-    for m, point in enumerate(dense_prefix(spec, M), start=1):
-        construct_step(point, m, state)
-    elements = tuple(sorted(state.provenance))
+    for point in dense_prefix(spec, M):
+        construct_step(point, state)
+    elements = tuple(sorted({v for rec in state.records for v in rec.values}))
     return GroundSet(
         rule=f"constructed-{spec.kind}",
         elements=elements,
         bound=elements[-1] if elements else 0,
-        provenance={v: tuple(ps) for v, ps in state.provenance.items()},
         steps=tuple(state.records),
     )
 
@@ -252,12 +241,13 @@ class VerificationReport:
 
     Forward: every late target point must be realized by a step direction
     (tiny distance, factorial precision).  Backward: every distinct-entry
-    tuple of large constructed elements must point where its provenance
-    predicts; the prediction mixes permuted, index-projected targets at the
-    realized factorial scale ratios.  backward_hausdorff is the raw worst
-    distance from those tuples to the target set itself: it shrinks like
-    1/M, not to zero, because a finite prefix still contains mixed-scale
-    tuples partway toward their projected limits.
+    tuple of large constructed elements must point where the steps that
+    produced its entries predict; the prediction mixes permuted,
+    index-projected targets at the realized factorial scale ratios.
+    backward_hausdorff is the raw worst distance from those tuples to the
+    target set itself: it shrinks like 1/M, not to zero, because a finite
+    prefix still contains mixed-scale tuples partway toward their projected
+    limits.
     """
 
     forward_hausdorff: float
@@ -280,7 +270,7 @@ def verify_construction(
     h: float,
     tolerance: float = 1e-3,
 ) -> VerificationReport:
-    if not A.steps or A.provenance is None:
+    if not A.steps:
         raise DomainError("ground set carries no construction trace")
     if M > len(A.steps):
         raise DomainError(f"construction has only {len(A.steps)} steps")
@@ -308,6 +298,10 @@ def verify_construction(
     # order-free and the spec is permutation-closed), so one ordering of
     # each tuple stands for all k! of them
     units = {rec.step: rec.target.unit() for rec in A.steps[:M]}
+    origins_of: dict[int, list[tuple[int, int]]] = {}
+    for rec in A.steps[:M]:
+        for i, v in enumerate(rec.values):
+            origins_of.setdefault(v, []).append((i, rec.step))
     scale_ratio = cache(_scale_ratio)  # few (m, m_big) pairs, many picks
     point_units = [p.unit() for p in spec.points]
     back_haus = 0.0
@@ -315,11 +309,9 @@ def verify_construction(
     violations = 0
     for tup in combinations(tail, k):
         actual = normalize(tup)
-        origins = [
-            [(i, m) for i, m in A.provenance[e] if m <= M] for e in tup
-        ]
+        origins = [origins_of.get(e, ()) for e in tup]
         if any(not o for o in origins):
-            raise DomainError("tail element has no in-range provenance")
+            raise DomainError("tail element comes from no step up to M")
         best = inf
         for pick in product(*origins):
             m_big = max(m for _, m in pick)

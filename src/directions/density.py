@@ -40,7 +40,7 @@ from scipy.spatial import cKDTree
 
 from .core import distance, is_unit, normalize
 from .enumeration import DirectionCloud, GroundSet, budget, directions
-from .enumeration import orbit_rows, row_array, unit_rows
+from .enumeration import orbit_rows, unit_rows
 from .errors import CertificateError, DomainError, ResourceError
 
 
@@ -95,6 +95,8 @@ def audit_net(net: SphereNet, samples: int, seed: int = 0) -> tuple[float, bool]
     """
     if samples < 1:
         raise DomainError("need at least one sample")
+    if samples > budget():
+        raise ResourceError(f"{samples} samples exceed the budget {budget()}")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)
@@ -126,14 +128,13 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
         raise DomainError(
             f"cloud dimension {cloud.k} does not match net dimension {net.k}"
         )
-    rows = row_array(cloud.rows)
-    units = unit_rows(rows)
+    units = unit_rows(cloud.rows)
     if cloud.sampled:
         dists, _ = _cloud_tree(units).query(net.points, k=1)
         at = int(np.argmax(dists))
         radius = float(dists[at])
     else:
-        radius, at = _chamber_radius(rows, units, net)
+        radius, at = _chamber_radius(cloud.rows, units, net)
     return DensityReport(
         covering_radius=radius,
         argmax_net_point=tuple(float(c) for c in net.points[at]),

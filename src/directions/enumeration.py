@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,17 +70,13 @@ def budget() -> int:
 class GroundSet:
     """A materialized prefix A ∩ [1, N] of a ground-set rule.
 
-    ``provenance`` and ``steps`` are filled only by the target constructor:
-    provenance maps each element to the (coordinate, step) pairs that
-    produced it, and steps keeps the per-step construction records.
+    ``steps`` holds the target constructor's step records, the whole trace
+    of a constructed set: its elements are their values.
     """
 
     rule: str
     elements: tuple[int, ...]
     bound: int
-    provenance: Mapping[int, tuple[tuple[int, int], ...]] | None = field(
-        default=None, compare=False
-    )
     steps: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -142,26 +138,26 @@ def ground_set(rule: str, N: int) -> GroundSet:
     return GroundSet(rule=rule, elements=tuple(elements), bound=N)
 
 
-def explicit_ground_set(values: Sequence[int], rule: str = "explicit") -> GroundSet:
+def explicit_ground_set(values: Sequence[int]) -> GroundSet:
     cleaned = sorted(set(values))
     if any(v < 1 for v in cleaned):
         raise DomainError("ground-set elements must be positive")
     bound = cleaned[-1] if cleaned else 0
-    return GroundSet(rule=rule, elements=tuple(cleaned), bound=bound)
+    return GroundSet(rule="explicit", elements=tuple(cleaned), bound=bound)
 
 
 @dataclass(frozen=True)
 class DirectionCloud:
     """Deduplicated primitive directions of k-tuples over a ground set.
 
-    rows is an (n, k) int64 array when every element fits a machine word,
-    otherwise a tuple of int tuples.  For an exhaustive cloud it holds the
+    rows is the (n, k) array ``_reduce_numpy`` returns: int64 when every
+    element fits a machine word, else object.  An exhaustive cloud holds its
     sorted chamber, one row per permutation orbit; ``sampled`` marks clouds
     built from seeded uniform draws, whose rows are every distinct draw.
     """
 
     k: int
-    rows: object
+    rows: np.ndarray
     distinct_entries_only: bool
     rule: str
     bound: int
@@ -173,12 +169,11 @@ class DirectionCloud:
     def count(self) -> int:
         if self.sampled:
             return len(self.rows)
-        rows = row_array(self.rows)
         # orbit: arrangements of a row's first t + 1 entries, a multinomial
         # that grows by (t + 1) / run, run the new entry's place among equals
         run = orbit = 1
         for t in range(1, self.k):
-            run = np.where(rows[:, t] == rows[:, t - 1], run + 1, 1)
+            run = np.where(self.rows[:, t] == self.rows[:, t - 1], run + 1, 1)
             orbit = orbit * (t + 1) // run
         return int(np.sum(orbit))
 
@@ -192,8 +187,7 @@ class DirectionCloud:
     @cached_property
     def _full_rows(self) -> np.ndarray:
         """Every row, lexicographic; a chamber is expanded once per cloud."""
-        rows = row_array(self.rows)
-        return rows if self.sampled else orbit_rows(rows)
+        return self.rows if self.sampled else orbit_rows(self.rows)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         rows = self._full_rows
@@ -205,11 +199,6 @@ class DirectionCloud:
         if self.is_empty:
             return np.zeros((0, self.k))
         return unit_rows(self._full_rows)
-
-
-def row_array(rows) -> np.ndarray:
-    """A cloud's rows as an array; wide tuple rows become an object array."""
-    return rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
 
 
 def orbit_rows(rows: np.ndarray) -> np.ndarray:
@@ -356,7 +345,7 @@ def directions(
 
     Exhaustive mode enumerates the sorted tuples and refuses when the |A|^k
     ordered tuples they stand for exceed the budget; pass ``sample`` (a
-    number of uniform tuple draws) to get a flagged sampled cloud instead.
+    budget-capped number of uniform tuple draws) for a flagged sampled cloud.
     In distinct mode sampled draws with repeated entries are discarded, so
     the realized draw count can be slightly below ``sample``.
     """
@@ -376,22 +365,20 @@ def directions(
             )
     elif sample < 1:
         raise DomainError("sample size must be >= 1")
+    elif sample > budget():
+        raise ResourceError(f"{sample} draws exceed the budget {budget()}")
     elif seed < 0:
         raise DomainError("seed must be >= 0")
     elems = A.elements
     if n == 0 or (distinct_entries_only and n < k):
-        rows: object = np.zeros((0, k), dtype=np.int64)
+        rows = np.zeros((0, k), dtype=np.int64)
     else:
         if sample is None:
             blocks = _chamber_blocks(n, k, distinct_entries_only)
         else:
             blocks = _sampled_block(n, k, sample, seed, distinct_entries_only)
-        wide = elems[-1] >= _INT64_LIMIT
-        rows = _reduce_numpy(
-            np.array(elems, dtype=object if wide else np.int64), k, blocks
-        )
-        if wide:
-            rows = tuple(map(tuple, rows.tolist()))
+        dtype = object if elems[-1] >= _INT64_LIMIT else np.int64
+        rows = _reduce_numpy(np.array(elems, dtype=dtype), k, blocks)
     return DirectionCloud(
         k=k,
         rows=rows,
@@ -422,7 +409,6 @@ def export_csv(cloud: DirectionCloud, path: str) -> None:
 
 def cloud_metadata(cloud: DirectionCloud) -> dict:
     meta = {
-        "schema_version": 1,
         "rule": cloud.rule,
         "N": cloud.bound,
         "k": cloud.k,

@@ -207,10 +207,6 @@ class SurdSum:
                     out[f] = nc
         return SurdSum(out)
 
-    def scaled(self, c: Fraction | int) -> "SurdSum":
-        c = Fraction(c)
-        return SurdSum({r: q * c for r, q in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 

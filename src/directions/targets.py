@@ -22,11 +22,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, count, cycle, islice, permutations, product
+from itertools import combinations, count, cycle, islice, product
 from math import gcd
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .core import FloatVec, normalize
+from .enumeration import orbit_rows
 from .errors import DomainError
 from .exact import Surd, SurdSum
 
@@ -116,12 +119,12 @@ class TargetPoint:
         ||u/|u| - v/|v|||^2 = 2 - 2 (u.v) / sqrt(|u|^2 |v|^2).
         """
         prod = self.norm_sq * other.norm_sq
-        # 1/sqrt(P/Q) = (1/P)*sqrt(P*Q)
-        inv_norm = Surd.of(Fraction(1, prod.numerator)) * Surd.of(
+        # 2/sqrt(P/Q) = (2/P)*sqrt(P*Q)
+        twice_inv_norm = Surd.of(Fraction(2, prod.numerator)) * Surd.of(
             1, prod.numerator * prod.denominator
         )
-        cos_term = self.dot(other) * SurdSum.from_surd(inv_norm)
-        return SurdSum.rational(2) - cos_term.scaled(2)
+        twice_cos = self.dot(other) * SurdSum.from_surd(twice_inv_norm)
+        return SurdSum.rational(2) - twice_cos
 
     def __repr__(self) -> str:
         return "TargetPoint(" + ", ".join(repr(c) for c in self.coords) + ")"
@@ -189,10 +192,10 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     """Smallest superset closed under permutations and index projections.
 
     A restriction of a permuted point is a permutation of a restricted one,
-    so the closure is every permutation of every restriction of a generator
-    to an index set that meets it, deduplicated on the exact key.  The first
-    point seen of each direction is kept: generators last-first, index sets
-    largest mask first.
+    so the closure is every distinct arrangement (``orbit_rows``) of every
+    restriction of a generator to an index set that meets it, deduplicated
+    on the exact key.  The first point seen of each direction is kept:
+    generators last-first, subsets of the support largest mask first.
     """
     if not points:
         raise DomainError("need at least one generator")
@@ -201,13 +204,14 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
         raise DomainError("generators must share one dimension")
     seen: dict[tuple[Fraction, ...], TargetPoint] = {}
     for p in reversed(points):
-        for mask in range((1 << k) - 1, 0, -1):
-            members = [i for i in range(k) if mask >> i & 1]
-            if all(p.coords[i].is_zero() for i in members):
-                continue
-            part = p.restricted(members)
-            for order in permutations(range(k)):
-                q = part.permuted(order)
+        support = [i for i, c in enumerate(p.coords) if not c.is_zero()]
+        for mask in range((1 << len(support)) - 1, 0, -1):
+            dropped = {i for j, i in enumerate(support) if not mask >> j & 1}
+            part = p.restricted([i for i in range(k) if i not in dropped])
+            values = list(dict.fromkeys(part.coords))
+            row = sorted(values.index(c) for c in part.coords)
+            for order in orbit_rows(np.array([row])).tolist():
+                q = TargetPoint(tuple(values[i] for i in order))
                 seen.setdefault(q.key(), q)
     closed = canonical_order(seen.values())
     return TargetSpec(kind=FINITE, k=k, points=tuple(closed))
@@ -237,7 +241,7 @@ def _orthant_directions(k: int, need_zero: bool) -> Iterator[TargetPoint]:
     then support position, then entries, each lexicographically.
 
     With need_zero, only vectors with at least one zero coordinate (the
-    hyperplane union).  The order is frozen: construction provenance and
+    hyperplane union).  The order is frozen: constructed ground sets and
     stored artifacts depend on it.  Each level is generated in that order,
     one support at a time, so no level is held or sorted.
     """

@@ -6,8 +6,9 @@ covering radii over the expanded cloud and from exact arc gaps, and
 high-precision floors via mpmath.  Expected values frozen into the
 test modules were produced by these oracles.  The searches the target
 layer replaced (level-sorted dense sequence, work-list closure, full-orbit
-validation) are kept as written; the last two apply the package's own
-TargetPoint maps and keys, so they pin generation against search.
+validation, mask-by-permutation closure) are kept as written; the last
+three apply the package's own TargetPoint maps and keys, so they pin
+generation against search.
 """
 
 from __future__ import annotations
@@ -15,10 +16,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from itertools import permutations
+from typing import Sequence
 
 import mpmath
 import numpy as np
 from scipy.spatial import cKDTree
+
+from directions.errors import DomainError
+from directions.targets import FINITE, TargetPoint, TargetSpec, canonical_order
 
 
 def brute_directions(A, k, distinct=False):
@@ -193,6 +199,37 @@ def full_orbit_validation(points):
             if q.key() not in keys:
                 failed.add(kind)
     return "permutation" not in failed, "projection onto" not in failed, not failed
+
+
+def mask_permutation_closure(points: Sequence[TargetPoint]) -> TargetSpec:
+    """Smallest superset closed under permutations and index projections.
+
+    The package's closure before it expanded arrangements with orbit_rows:
+    every index mask times every permutation, deduplicated afterwards.
+
+    A restriction of a permuted point is a permutation of a restricted one,
+    so the closure is every permutation of every restriction of a generator
+    to an index set that meets it, deduplicated on the exact key.  The first
+    point seen of each direction is kept: generators last-first, index sets
+    largest mask first.
+    """
+    if not points:
+        raise DomainError("need at least one generator")
+    k = points[0].k
+    if any(p.k != k for p in points):
+        raise DomainError("generators must share one dimension")
+    seen: dict[tuple[Fraction, ...], TargetPoint] = {}
+    for p in reversed(points):
+        for mask in range((1 << k) - 1, 0, -1):
+            members = [i for i in range(k) if mask >> i & 1]
+            if all(p.coords[i].is_zero() for i in members):
+                continue
+            part = p.restricted(members)
+            for order in permutations(range(k)):
+                q = part.permuted(order)
+                seen.setdefault(q.key(), q)
+    closed = canonical_order(seen.values())
+    return TargetSpec(kind=FINITE, k=k, points=tuple(closed))
 
 
 def mp_floor_scaled(coords_qr, i, m, dps=1200):

@@ -100,6 +100,24 @@ class TestExitCodes:
         report = json.loads(proc.stdout)
         assert len(report["direction_errors"]) == len(report["tie_breaks"]) == 5
 
+    def test_wide_closure_spec_returns(self, tmp_path):
+        # the closure of (1, sqrt 2, 0, ..) at k=9 has 81 points; building
+        # them must not take every permutation of every index mask
+        spec = tmp_path / "spec.json"
+        coords = [{"q": "1", "r": 1}, {"q": "1", "r": 2}] + [{"q": "0", "r": 1}] * 7
+        spec.write_text(json.dumps({"k": 9, "generators": [coords]}))
+        src = str(Path(directions.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "directions.cli", "construct", "--spec",
+             str(spec), "--M", "3"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["k"] == 9
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -216,6 +234,18 @@ class TestBadInput:
                 None,
                 2,
             ),
+            (
+                # refused before the draw, which would not fit in memory
+                ["enumerate", "--rule", "naturals", "--N", "10", "--k", "3",
+                 "--sample", str(10**12)],
+                None,
+                2,
+            ),
+            (
+                ["net-audit", "--k", "2", "--h", "0.5", "--samples", str(10**12)],
+                None,
+                2,
+            ),
         ],
         ids=[
             "elements",
@@ -241,6 +271,8 @@ class TestBadInput:
             "spec-r-float",
             "spec-q-float",
             "tiny-h",
+            "sample-over-budget",
+            "net-audit-samples-over-budget",
         ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):

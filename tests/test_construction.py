@@ -89,7 +89,7 @@ class TestConstructStep:
     def test_offset_collision_resolved(self):
         # floors (0, 0): second coordinate must step past the first
         state = ConstructionState()
-        got = construct_step(TargetPoint.from_ints(3, 2), 1, state)
+        got = construct_step(TargetPoint.from_ints(3, 2), state)
         rec = state.records[0]
         assert rec.floors == (0, 0)
         assert rec.offsets == (1, 2)
@@ -99,45 +99,40 @@ class TestConstructStep:
     def test_ratio_collision_bumps_t(self):
         # second step lands on the registered leading ratio, so t moves to 2
         state = ConstructionState()
-        assert construct_step(TargetPoint.from_ints(3, 2), 1, state) == (2, 3)
-        assert construct_step(TargetPoint.from_ints(2, 4), 2, state) == (3, 4)
+        assert construct_step(TargetPoint.from_ints(3, 2), state) == (2, 3)
+        assert construct_step(TargetPoint.from_ints(2, 4), state) == (3, 4)
         assert state.records[1].tie_break == 2
         assert state.records[1].floors == (0, 1)
 
     def test_fresh_ratio_keeps_t1(self):
         state = ConstructionState()
-        assert construct_step(TargetPoint.from_ints(2, 3), 1, state) == (2, 3)
-        assert construct_step(TargetPoint.from_ints(3, 4), 2, state) == (3, 4)
+        assert construct_step(TargetPoint.from_ints(2, 3), state) == (2, 3)
+        assert construct_step(TargetPoint.from_ints(3, 4), state) == (3, 4)
         assert state.records[1].tie_break == 1
 
     def test_entries_always_distinct(self):
         spec = TargetSpec(kind=FULL_SPHERE, k=3)
         state = ConstructionState()
-        for m, point in enumerate(dense_prefix(spec, 12), start=1):
-            values = construct_step(point, m, state)
+        for point in dense_prefix(spec, 12):
+            values = construct_step(point, state)
             assert len(set(values)) == 3
 
     def test_leading_ratios_injective(self):
         spec = TargetSpec(kind=HYPERPLANE, k=3)
         state = ConstructionState()
         seen = set()
-        for m, point in enumerate(dense_prefix(spec, 12), start=1):
-            v = construct_step(point, m, state)
+        for point in dense_prefix(spec, 12):
+            v = construct_step(point, state)
             lead = primitive((v[0], v[1]))
             assert lead not in seen
             seen.add(lead)
-
-    def test_steps_must_run_in_order(self):
-        state = ConstructionState()
-        with pytest.raises(DomainError):
-            construct_step(TargetPoint.from_ints(1, 2), 2, state)
 
     def test_floor_plus_offset_window(self):
         # every entry sits within k + m of the scaled target coordinate
         spec = TargetSpec(kind=FULL_SPHERE, k=2)
         state = ConstructionState()
         for m, point in enumerate(dense_prefix(spec, 10), start=1):
-            v = construct_step(point, m, state)
+            v = construct_step(point, state)
             rec = state.records[-1]
             for i in (0, 1):
                 assert 0 < v[i] - rec.floors[i] <= 2 + m
@@ -204,13 +199,6 @@ class TestConstruct:
         assert errs[7] == pytest.approx(5.083e-05, rel=1e-3)
         for r in A.steps[7:]:
             assert r.direction_error < 1e-4
-
-    def test_provenance_covers_elements(self):
-        A = construct(CLOSURE_12, 6)
-        assert set(A.provenance) == set(A.elements)
-        for v, picks in A.provenance.items():
-            for i, m in picks:
-                assert A.steps[m - 1].values[i] == v
 
     def test_m0_is_empty(self):
         A = construct(CLOSURE_12, 0)

@@ -43,6 +43,7 @@ from oracles import (
     full_covering_radius,
     full_orbit_validation,
     level_sorted_directions,
+    mask_permutation_closure,
     mp_surd_sign,
     trial_squarefree_split,
     worklist_closure,
@@ -342,6 +343,45 @@ def test_generated_closure_and_validation_match_search(gens, rnd):
     assert (rep.permutation_ok, rep.projection_ok, rep.passed) == (
         full_orbit_validation(kept)
     )
+
+
+def proportional_points(k):
+    """Points whose coordinates come in proportional pairs q sqrt(r) and
+    f q sqrt(r): restrictions to two such pairs name one direction with
+    different coordinates, so the representative kept shows."""
+    half = (k + 1) // 2
+    return st.tuples(
+        st.lists(TARGET_COORDS, min_size=half, max_size=half),
+        st.builds(Fraction, st.integers(1, 4), st.integers(1, 3)),
+    ).flatmap(
+        lambda base_f: st.permutations(
+            base_f[0] + [(q * base_f[1], r) for q, r in base_f[0]][: k - half]
+        )
+    ).filter(lambda pairs: any(q for q, _ in pairs)).map(TargetPoint.from_qr)
+
+
+# the oracle walks every mask and permutation, about 3 s per k=6 generator,
+# so k=6 enters through the explicit example
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    gens=st.integers(2, 5).flatmap(
+        lambda k: st.lists(
+            st.one_of(target_points(k), proportional_points(k)),
+            min_size=1,
+            max_size=max(1, 4 - k),
+        )
+    ),
+)
+@example(
+    # zeros, a repeated coordinate and two proportional pairs at k=6
+    gens=[TargetPoint.from_qr([(1, 3), (2, 5), (0, 1), (6, 5), (3, 3), (1, 3)])],
+)
+@example(gens=[TargetPoint.from_qr([(1, 3), (2, 5), (6, 5), (3, 3)])])
+def test_closure_matches_mask_permutation_oracle(gens):
+    got = close_generators(gens).points
+    want = mask_permutation_closure(gens).points
+    assert [p.key() for p in got] == [p.key() for p in want]
+    assert [p.coords for p in got] == [p.coords for p in want]
 
 
 @pytest.mark.parametrize("kind", [FULL_SPHERE, HYPERPLANE])
