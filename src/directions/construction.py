@@ -38,8 +38,8 @@ from math import factorial, inf, prod, sqrt
 from typing import Sequence
 
 from .core import FloatVec, distance, normalize, primitive
-from .enumeration import GroundSet, budget, directions
-from .errors import CertificateError, DomainError, ResourceError
+from .enumeration import GroundSet, check_budget, directions
+from .errors import CertificateError, DomainError
 from .exact import SurdSum, sqrt_floor
 from .targets import (
     HYPERPLANE,
@@ -146,24 +146,22 @@ def construct_step(
                 break
         else:
             raise AssertionError(f"step {m}: no offset for coordinate {i}")
-    chosen_t = 0
     for t in range(1, m + 1):
         lead = primitive((pre[0] + t, pre[1] + t))
         if lead not in state.ratio_registry:
-            chosen_t = t
             break
     else:
         raise AssertionError(f"step {m}: every shift collides in the registry")
-    values = tuple(v + chosen_t for v in pre)
+    values = tuple(v + t for v in pre)
     err = _check_step_certificates(point, m, values)
-    state.ratio_registry.add(primitive((values[0], values[1])))
+    state.ratio_registry.add(lead)
     state.records.append(
         StepRecord(
             step=m,
             target=point,
             floors=floors,
             offsets=tuple(offsets),
-            tie_break=chosen_t,
+            tie_break=t,
             values=values,
             direction_error=err,
         )
@@ -290,10 +288,7 @@ def verify_construction(
     tail = [e for e in A.elements if e >= cutoff]
     n = len(tail)
     count = prod(range(n - k + 1, n + 1)) if n >= k else 0
-    if count > budget():
-        raise ResourceError(
-            f"{count} tail tuples exceed the budget {budget()}"
-        )
+    check_budget(count, "tail tuples")
     # residuals and target distances are symmetric in the tuple (fsum is
     # order-free and the spec is permutation-closed), so one ordering of
     # each tuple stands for all k! of them

@@ -39,9 +39,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import distance, is_unit, normalize
-from .enumeration import DirectionCloud, GroundSet, budget, directions
+from .enumeration import DirectionCloud, GroundSet, check_budget, directions
 from .enumeration import orbit_rows, unit_rows
-from .errors import CertificateError, DomainError, ResourceError
+from .errors import CertificateError, DomainError
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,10 @@ def sphere_net(k: int, h: float) -> SphereNet:
         raise DomainError("net dimension must be >= 2")
     if not 0 < h <= 1:
         raise DomainError("resolution must satisfy 0 < h <= 1")
-    if k / h > budget():
-        # the net has more than d = ceil(k/h) points, and k/h may be inf
-        raise ResourceError(f"net at h={h} is over the budget {budget()}")
+    # the net has more than d = ceil(k/h) points, and k/h may be inf
+    check_budget(k / h, f"net points at h={h} (more than k/h)")
     d = ceil(k / h)
-    total = (d + 1) ** k - d**k
-    if total > budget():
-        raise ResourceError(
-            f"net at h={h} needs {total} points, over the budget {budget()}"
-        )
+    check_budget((d + 1) ** k - d**k, f"net points at h={h}")
     blocks = []
     for lead in range(k):
         # vectors whose first coordinate equal to d sits at index `lead`;
@@ -95,8 +90,7 @@ def audit_net(net: SphereNet, samples: int, seed: int = 0) -> tuple[float, bool]
     """
     if samples < 1:
         raise DomainError("need at least one sample")
-    if samples > budget():
-        raise ResourceError(f"{samples} samples exceed the budget {budget()}")
+    check_budget(samples, "audit samples")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)

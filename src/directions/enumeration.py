@@ -66,6 +66,16 @@ def budget() -> int:
     return value
 
 
+def check_budget(size: int | float, what: str) -> None:
+    """The one budget gate: refuse ``size`` units of ``what`` over the cap."""
+    cap = budget()
+    if size > cap:
+        raise ResourceError(
+            f"{what}: {size} exceeds the budget {cap}; "
+            "raise DIRECTIONS_BUDGET to allow it"
+        )
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """A materialized prefix A ∩ [1, N] of a ground-set rule.
@@ -100,11 +110,7 @@ def ground_set(rule: str, N: int) -> GroundSet:
     """
     if N < 1:
         raise DomainError("bound must be >= 1")
-    if N > budget():
-        raise ResourceError(
-            f"bound {N} exceeds the memory budget {budget()}; "
-            "raise DIRECTIONS_BUDGET to allow it"
-        )
+    check_budget(N, "bound N")
     if rule == "naturals":
         elements = list(range(1, N + 1))
     elif rule == "primes":
@@ -357,18 +363,13 @@ def directions(
             raise DomainError(
                 f"distinct-entry tuples need |A| >= k, got |A|={n}, k={k}"
             )
-        total = n**k
-        if total > budget():
-            raise ResourceError(
-                f"{n}^{k} = {total} tuples exceed the budget {budget()}; "
-                "pass a sample size or raise DIRECTIONS_BUDGET"
-            )
+        check_budget(n**k, f"{n}^{k} tuples (or pass a sample size)")
     elif sample < 1:
         raise DomainError("sample size must be >= 1")
-    elif sample > budget():
-        raise ResourceError(f"{sample} draws exceed the budget {budget()}")
-    elif seed < 0:
-        raise DomainError("seed must be >= 0")
+    else:
+        check_budget(sample, "sampled draws")
+        if seed < 0:
+            raise DomainError("seed must be >= 0")
     elems = A.elements
     if n == 0 or (distinct_entries_only and n < k):
         rows = np.zeros((0, k), dtype=np.int64)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, prod, sqrt
 
 from .core import _sieve_primes
 from .errors import DomainError, PrecisionError
@@ -142,11 +142,7 @@ class Surd:
         return sa if d > 0 else -sa
 
     def to_float(self) -> float:
-        if self.q == 0:
-            return 0.0
-        bits = 64
-        lo, _ = _sqrt_bounds(self.r, bits)
-        return float(self.q * Fraction(lo, 1 << bits))
+        return SurdSum.from_surd(self).to_float(bits=64)
 
     def __repr__(self) -> str:
         if self.r == 1:
@@ -260,8 +256,6 @@ class SurdSum:
             raise DomainError("sqrt of negative surd sum")
         if s == 0:
             return 0.0
-        from math import sqrt
-
         return sqrt(self.to_float())
 
     def __repr__(self) -> str:
@@ -270,13 +264,7 @@ class SurdSum:
         out = ""
         for r in sorted(self.terms):
             c = self.terms[r]
-            mag = abs(c)
-            if r == 1:
-                body = str(mag)
-            elif mag == 1:
-                body = f"sqrt({r})"
-            else:
-                body = f"{mag}*sqrt({r})"
+            body = repr(Surd(abs(c), r))
             if not out:
                 out = body if c > 0 else f"-{body}"
             else:

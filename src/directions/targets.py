@@ -19,17 +19,18 @@ change between releases.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, cycle, islice, product
-from math import gcd
+from math import comb, factorial, gcd, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import FloatVec, normalize
-from .enumeration import orbit_rows
+from .enumeration import check_budget, orbit_rows
 from .errors import DomainError
 from .exact import Surd, SurdSum
 
@@ -196,6 +197,10 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     restriction of a generator to an index set that meets it, deduplicated
     on the exact key.  The first point seen of each direction is kept:
     generators last-first, subsets of the support largest mask first.
+
+    Each generator's arrangements are charged to the budget before any is
+    built: first C(s+k, k) - 1 for support size s, a lower bound that also
+    caps the mask walk, then the exact sum of k!/prod(mult!).
     """
     if not points:
         raise DomainError("need at least one generator")
@@ -203,13 +208,20 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     if any(p.k != k for p in points):
         raise DomainError("generators must share one dimension")
     seen: dict[tuple[Fraction, ...], TargetPoint] = {}
+    total = 0
     for p in reversed(points):
         support = [i for i, c in enumerate(p.coords) if not c.is_zero()]
+        check_budget(total + comb(len(support) + k, k) - 1, "closure arrangements")
+        parts = []
         for mask in range((1 << len(support)) - 1, 0, -1):
             dropped = {i for j, i in enumerate(support) if not mask >> j & 1}
             part = p.restricted([i for i in range(k) if i not in dropped])
             values = list(dict.fromkeys(part.coords))
             row = sorted(values.index(c) for c in part.coords)
+            parts.append((values, row))
+            total += factorial(k) // prod(map(factorial, Counter(row).values()))
+        check_budget(total, "closure arrangements")
+        for values, row in parts:
             for order in orbit_rows(np.array([row])).tolist():
                 q = TargetPoint(tuple(values[i] for i in order))
                 seen.setdefault(q.key(), q)

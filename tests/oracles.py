@@ -8,7 +8,9 @@ test modules were produced by these oracles.  The searches the target
 layer replaced (level-sorted dense sequence, work-list closure, full-orbit
 validation, mask-by-permutation closure) are kept as written; the last
 three apply the package's own TargetPoint maps and keys, so they pin
-generation against search.
+generation against search.  The surd printer and float evaluator that
+``exact`` replaced are kept as written too; the evaluator reads the
+package's ``_sqrt_bounds``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from directions.errors import DomainError
+from directions.exact import _sqrt_bounds
 from directions.targets import FINITE, TargetPoint, TargetSpec, canonical_order
 
 
@@ -232,6 +235,17 @@ def mask_permutation_closure(points: Sequence[TargetPoint]) -> TargetSpec:
     return TargetSpec(kind=FINITE, k=k, points=tuple(closed))
 
 
+def brute_arrangement_count(point: TargetPoint) -> int:
+    """Distinct arrangements of every restriction of point to a nonempty
+    part of its support, each counted by listing its permutations."""
+    support = [i for i, c in enumerate(point.coords) if not c.is_zero()]
+    total = 0
+    for size in range(1, len(support) + 1):
+        for keep in itertools.combinations(support, size):
+            total += len(set(permutations(point.restricted(keep).coords)))
+    return total
+
+
 def mp_floor_scaled(coords_qr, i, m, dps=1200):
     """floor(m! * y_i) for a unit vector given as (rational, radicand) pairs.
 
@@ -317,3 +331,35 @@ def cmp_points(a, b):
         if lhs != rhs:
             return -1 if lhs < rhs else 1
     return 0
+
+
+def surd_to_float(self):
+    """``Surd.to_float`` as the package wrote it before it went through
+    ``SurdSum.to_float``."""
+    if self.q == 0:
+        return 0.0
+    bits = 64
+    lo, _ = _sqrt_bounds(self.r, bits)
+    return float(self.q * Fraction(lo, 1 << bits))
+
+
+def surd_sum_repr(self):
+    """``SurdSum.__repr__`` as the package wrote it before each term went
+    through ``Surd.__repr__``."""
+    if not self.terms:
+        return "0"
+    out = ""
+    for r in sorted(self.terms):
+        c = self.terms[r]
+        mag = abs(c)
+        if r == 1:
+            body = str(mag)
+        elif mag == 1:
+            body = f"sqrt({r})"
+        else:
+            body = f"{mag}*sqrt({r})"
+        if not out:
+            out = body if c > 0 else f"-{body}"
+        else:
+            out += f" + {body}" if c > 0 else f" - {body}"
+    return out

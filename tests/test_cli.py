@@ -246,6 +246,20 @@ class TestBadInput:
                 None,
                 2,
             ),
+            (
+                # about 2.3e8 arrangements close this generator, refused
+                # before any is built
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                json.dumps(
+                    {
+                        "k": 10,
+                        "generators": [
+                            [{"q": str(q), "r": 1} for q in range(1, 11)]
+                        ],
+                    }
+                ),
+                2,
+            ),
         ],
         ids=[
             "elements",
@@ -273,6 +287,7 @@ class TestBadInput:
             "tiny-h",
             "sample-over-budget",
             "net-audit-samples-over-budget",
+            "closure-over-budget",
         ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):

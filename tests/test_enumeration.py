@@ -1,8 +1,10 @@
 """Ground sets and direction clouds."""
 
+import ast
 import csv
 import io
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from directions.core import primitive
 from directions.enumeration import (
     DEFAULT_BUDGET,
     budget,
+    check_budget,
     cloud_metadata,
     directions,
     explicit_ground_set,
@@ -72,6 +75,49 @@ class TestGroundSet:
         monkeypatch.setenv("DIRECTIONS_BUDGET", "junk")
         with pytest.raises(ResourceError):
             budget()
+
+
+def _budget_sites(path):
+    """(file, innermost function) of every budget() call and every raise
+    of a ResourceError in one source file."""
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    sites = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and name(node.func) == "budget":
+            sites.add((path.name, owner))
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            if name(getattr(node.exc, "func", node.exc)) == "ResourceError":
+                sites.add((path.name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+class TestBudgetGate:
+    def test_policy_lives_in_one_place(self):
+        # every input-sized allocation asks check_budget, so the budget is
+        # read and refused there (and in budget() itself) and nowhere else
+        package = Path(enumeration.__file__).parent
+        sites = set().union(*map(_budget_sites, package.glob("*.py")))
+        assert sites == {
+            ("enumeration.py", "budget"),
+            ("enumeration.py", "check_budget"),
+        }
+
+    def test_refusal_names_what_size_and_cap(self, monkeypatch):
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "10")
+        check_budget(10, "widgets")
+        with pytest.raises(ResourceError) as info:
+            check_budget(11, "widgets")
+        for part in ("widgets", "11", "10", "DIRECTIONS_BUDGET"):
+            assert part in str(info.value)
 
 
 class TestDirections:

@@ -1,10 +1,12 @@
 """Property tests of the cloud kernel and the exact layer against the oracles."""
 
+import os
 import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import cycle, islice, permutations
 from math import prod
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -23,6 +25,7 @@ from directions.enumeration import (
     orbit_rows,
     unit_rows,
 )
+from directions.errors import ResourceError
 from directions.exact import Surd, SurdSum, squarefree_split
 from directions.targets import (
     FINITE,
@@ -38,6 +41,7 @@ from directions.targets import (
 
 from oracles import (
     arc_covering_radius,
+    brute_arrangement_count,
     brute_directions,
     cmp_points,
     full_covering_radius,
@@ -45,6 +49,8 @@ from oracles import (
     level_sorted_directions,
     mask_permutation_closure,
     mp_surd_sign,
+    surd_sum_repr,
+    surd_to_float,
     trial_squarefree_split,
     worklist_closure,
 )
@@ -268,6 +274,26 @@ def test_surd_sign_matches_mpmath(terms, bits, nudge):
     assert s.sign() == want
 
 
+# zero, unit and negative coefficients take their own printing branches
+PRINTED_COEFFS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), COEFFS
+)
+PRINTED_RADICANDS = st.sampled_from([1] + SURD_RADICANDS)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    q=PRINTED_COEFFS,
+    r=PRINTED_RADICANDS,
+    terms=st.dictionaries(PRINTED_RADICANDS, PRINTED_COEFFS, max_size=4),
+)
+def test_surd_printer_and_evaluator_match_oracles(q, r, terms):
+    s = Surd(q, r)
+    assert s.to_float() == surd_to_float(s)
+    total = SurdSum(terms)
+    assert repr(total) == surd_sum_repr(total)
+
+
 TARGET_RADICANDS = st.sampled_from([1, 2, 3, 5, 6, 7])
 TARGET_COORDS = st.tuples(
     st.builds(Fraction, st.integers(0, 4), st.integers(1, 3)), TARGET_RADICANDS
@@ -382,6 +408,31 @@ def test_closure_matches_mask_permutation_oracle(gens):
     want = mask_permutation_closure(gens).points
     assert [p.key() for p in got] == [p.key() for p in want]
     assert [p.coords for p in got] == [p.coords for p in want]
+
+
+def charged_generators(k):
+    """One or two generators below k=6.  A generic k=6 generator closes to
+    about 13,000 points in 1.5 s, so k=6 takes one generator with a zero,
+    which closes to at most 4,050."""
+    points = st.one_of(target_points(k), proportional_points(k))
+    if k < 6:
+        return st.lists(points, min_size=1, max_size=2)
+    with_zero = points.filter(lambda p: any(c.is_zero() for c in p.coords))
+    return st.lists(with_zero, min_size=1, max_size=1)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(gens=st.integers(2, 6).flatmap(charged_generators))
+@example(gens=[TargetPoint.from_qr([(1, 3), (2, 5), (0, 1), (6, 5), (3, 3), (1, 3)])])
+def test_closure_charges_exactly_its_arrangements(gens):
+    # the budget gate charges a lower bound, then the exact count, before
+    # expanding: the brute-force count passes and one less is refused
+    count = sum(brute_arrangement_count(p) for p in gens)
+    with mock.patch.dict(os.environ, {"DIRECTIONS_BUDGET": str(count)}):
+        close_generators(gens)
+    with mock.patch.dict(os.environ, {"DIRECTIONS_BUDGET": str(count - 1)}):
+        with pytest.raises(ResourceError):
+            close_generators(gens)
 
 
 @pytest.mark.parametrize("kind", [FULL_SPHERE, HYPERPLANE])

@@ -1,6 +1,7 @@
 """Target sets: exact points, closure, validation, dense enumeration."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from directions.density import sphere_net
-from directions.errors import DomainError
+from directions.errors import DomainError, ResourceError
 from directions.targets import (
     FINITE,
     FULL_SPHERE,
@@ -140,6 +141,26 @@ class TestClosure:
         spec = close_generators([TargetPoint.from_ints(1, 2, 3)])
         again = close_generators(spec.points)
         assert keys(again.points) == keys(spec.points)
+
+    def test_generic_generator_refused_before_expansion(self, monkeypatch):
+        # Σ_j C(10, j) 10!/(10 - j)! ~ 2.3e8 arrangements at k=10, so the
+        # default budget refuses it before building any; at k=18 the
+        # C(36, 18) - 1 lower bound refuses it before walking 2^18 masks
+        monkeypatch.delenv("DIRECTIONS_BUDGET", raising=False)
+        for k in (10, 18):
+            start = time.perf_counter()
+            with pytest.raises(ResourceError):
+                close_generators([TargetPoint.from_ints(*range(1, k + 1))])
+            assert time.perf_counter() - start < 1.0
+        # 13,326 arrangements at k=6, where 1,000 is allowed
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "1000")
+        with pytest.raises(ResourceError):
+            close_generators([TargetPoint.from_ints(*range(1, 7))])
+
+    def test_sparse_generator_closes_at_k10(self, monkeypatch):
+        monkeypatch.delenv("DIRECTIONS_BUDGET", raising=False)
+        eta = TargetPoint.from_qr([(1, 1), (1, 2)] + [(0, 1)] * 8)
+        assert len(close_generators([eta]).points) == 100
 
     def test_rejects_empty_and_mixed_dims(self):
         with pytest.raises(DomainError):
