@@ -21,6 +21,13 @@ along other coordinate orders, so each sorted point within _TIE of the
 worst is settled on its orbit against the expanded orbits of the rows
 near it, and both fields equal those of the expanded computation.
 
+Every nearest-distance query goes through one kernel: the cloud's unit rows
+are cut into contiguous parts, one per usable CPU and none below a fixed
+floor of rows, each part gets its own KD tree (unbalanced, leafsize 32,
+uncompacted node boxes) on its own thread, and each query takes the least
+of the parts' distances.  That is the nearest distance over all rows, the
+same float, so no report depends on the CPU count.
+
 The remaining operations cover the growth-condition experiments: block
 maxima of consecutive-element ratios, the bracketing witness tuples that
 turn a slowly growing ground set into directions approximating a chosen
@@ -30,7 +37,9 @@ k-1.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, sqrt
 from typing import Sequence
@@ -124,7 +133,7 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
         )
     units = unit_rows(cloud.rows)
     if cloud.sampled:
-        dists, _ = _cloud_tree(units).query(net.points, k=1)
+        dists = _nearest(units, net.points)
         at = int(np.argmax(dists))
         radius = float(dists[at])
     else:
@@ -144,7 +153,42 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
 
 def _cloud_tree(units: np.ndarray) -> cKDTree:
     # a query's distances do not depend on the tree's shape; this one builds faster
-    return cKDTree(units, balanced_tree=False, compact_nodes=False)
+    return cKDTree(units, leafsize=32, balanced_tree=False, compact_nodes=False)
+
+
+# Fewest rows in a tree part: below it a second part's thread start and
+# malloc arena cost more than the build time it saves (BENCH_threads.json).
+_PART_FLOOR = 1 << 18
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _nearest(units: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Distance from each query to its nearest unit row.
+
+    The rows are cut into contiguous parts, one per usable CPU and none
+    below _PART_FLOOR rows, and each part builds and queries its own tree.
+    Parts after the first run on worker threads and the first on this one,
+    so one malloc arena fewer keeps freed tree memory.  The least of the
+    parts' nearest distances is the nearest distance over all rows, the
+    same float.
+    """
+    count = min(_usable_cpus(), len(units) // _PART_FLOOR)
+    parts = np.array_split(units, max(count, 1))
+
+    def nearest(part: np.ndarray) -> np.ndarray:
+        return _cloud_tree(part).query(queries, k=1)[0]
+
+    if len(parts) == 1:
+        return nearest(units)
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        rest = pool.map(nearest, parts[1:])
+        return np.minimum.reduce([nearest(parts[0]), *rest])
 
 
 # Distances this close may be one distance rounded along two coordinate
@@ -158,14 +202,14 @@ def _chamber_radius(
     """Covering radius and first argmax of an exhaustive cloud's chamber."""
     pts, d = net.points, net.denominator
     chamber = np.flatnonzero((pts[:, 1:] >= pts[:, :-1]).all(axis=1))
-    dists, _ = _cloud_tree(units).query(pts[chamber], k=1)
+    dists = _nearest(units, pts[chamber])
     top = dists >= dists.max() - _TIE
     found = []
     for i, dist in zip(chamber[top], dists[top]):
         near = rows[np.linalg.norm(units - pts[i], axis=1) <= dist + _TIE]
         v = np.rint(pts[i] * d / pts[i, -1]).astype(np.int64)  # largest entry d
         orbit = sorted(_net_index(p, d) for p in orbit_rows(v[None, :]).tolist())
-        got, _ = _cloud_tree(unit_rows(orbit_rows(near))).query(pts[orbit], k=1)
+        got = _nearest(unit_rows(orbit_rows(near)), pts[orbit])
         found += zip(got.tolist(), orbit)
     radius = max(g for g, _ in found)
     return radius, min(j for g, j in found if g == radius)

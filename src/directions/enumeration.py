@@ -48,7 +48,8 @@ _INT64_LIMIT = 1 << 62
 
 _CHUNK = 1 << 20
 
-# rows per slice of Python objects when iterating or writing, to bound peak memory
+# rows per slice of Python objects when iterating or writing, and per block of
+# unit rows, to bound peak memory
 _ITER_ROWS = 1 << 14
 
 
@@ -246,7 +247,12 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
         pts = (rows / scale[:, None]).astype(np.float64)
     else:
         pts = rows.astype(np.float64)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    # np.linalg.norm's body without its copies, in blocks of rows so the
+    # squares stay small: the same floats
+    for start in range(0, len(pts), _ITER_ROWS):
+        part = pts[start : start + _ITER_ROWS]
+        part /= np.sqrt(np.add.reduce(part * part, axis=1))[:, None]
+    return pts
 
 
 def _distinct_mask(cols: np.ndarray) -> np.ndarray:
@@ -317,6 +323,23 @@ def _sort_rows(rows: np.ndarray, unique: bool) -> np.ndarray:
     return rows
 
 
+def _divide_gcd(rows: np.ndarray) -> None:
+    """Divide each row of positive entries by its gcd, in place.
+
+    Most rows turn primitive within two columns, so later columns are read
+    only for rows whose running gcd is still above 1, and only those rows
+    are divided.
+    """
+    g = np.gcd(rows[:, 0], rows[:, 1])
+    live = np.flatnonzero(g > 1)
+    g = g[live]
+    for j in range(2, rows.shape[1]):
+        g = np.gcd(g, rows[live, j])
+        keep = g > 1
+        live, g = live[keep], g[keep]
+    rows[live] //= g[:, None]
+
+
 def _reduce_numpy(
     elems: np.ndarray, k: int, blocks: Iterable[np.ndarray]
 ) -> np.ndarray:
@@ -330,7 +353,7 @@ def _reduce_numpy(
         rows = elems[idx]
         del idx  # free the index block before the sort
         if len(rows):
-            rows = rows // np.gcd.reduce(rows, axis=1)[:, None]
+            _divide_gcd(rows)
             pieces.append(_sort_rows(rows, unique=True))
     if not pieces:
         return np.zeros((0, k), dtype=np.int64)

@@ -10,7 +10,8 @@ validation, mask-by-permutation closure) are kept as written; the last
 three apply the package's own TargetPoint maps and keys, so they pin
 generation against search.  The surd printer and float evaluator that
 ``exact`` replaced are kept as written too; the evaluator reads the
-package's ``_sqrt_bounds``.
+package's ``_sqrt_bounds``.  So is the ``np.linalg.norm`` body of
+``unit_rows``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import mpmath
 import numpy as np
 from scipy.spatial import cKDTree
 
+from directions.core import SCALE_BITS
 from directions.errors import DomainError
 from directions.exact import _sqrt_bounds
 from directions.targets import FINITE, TargetPoint, TargetSpec, canonical_order
@@ -363,3 +365,15 @@ def surd_sum_repr(self):
         else:
             out += f" + {body}" if c > 0 else f" - {body}"
     return out
+
+
+def linalg_unit_rows(rows):
+    """``enumeration.unit_rows`` as the package wrote it before it divided
+    in place, a block of rows at a time, by the ``np.linalg.norm`` body."""
+    if rows.dtype == object:
+        bits = np.frompyfunc(int.bit_length, 1, 1)(rows.max(axis=1))
+        scale = np.left_shift(1, np.maximum(bits - SCALE_BITS, 0))
+        pts = (rows / scale[:, None]).astype(np.float64)
+    else:
+        pts = rows.astype(np.float64)
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)

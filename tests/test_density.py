@@ -5,7 +5,9 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from directions import density
 from directions.density import (
     audit_net,
     chain_check,
@@ -14,7 +16,12 @@ from directions.density import (
     sphere_net,
     witness_tuple,
 )
-from directions.enumeration import directions, explicit_ground_set, ground_set
+from directions.enumeration import (
+    directions,
+    explicit_ground_set,
+    ground_set,
+    unit_rows,
+)
 from directions.errors import DomainError, ResourceError
 
 
@@ -122,6 +129,60 @@ class TestCoveringRadius:
         cloud = directions(explicit_ground_set([1, 2]), 2)
         with pytest.raises(DomainError):
             covering_radius(cloud, net)
+
+
+def force_split(monkeypatch, cpus, floor):
+    monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(density, "_PART_FLOOR", floor)
+
+
+class TestSplitTrees:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("floor", [1, 2, 50])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_one_tree(self, monkeypatch, cpus, floor, k):
+        # entries 0..5 repeat rows, so equal distances fall in every part
+        rng = np.random.default_rng(10 * k + cpus)
+        for n in (1, 3, 101, 400):
+            rows = rng.integers(0, 6, size=(n, k))
+            rows[:, 0] += 1  # no zero row
+            units = unit_rows(rows)
+            queries = np.concatenate([
+                sphere_net(k, 1.0).points,
+                unit_rows(np.abs(rng.standard_normal((200, k)))),
+            ])
+            want, _ = cKDTree(units).query(queries)
+            parts = []
+            tree = density._cloud_tree
+            monkeypatch.setattr(
+                density, "_cloud_tree", lambda u: parts.append(len(u)) or tree(u)
+            )
+            force_split(monkeypatch, cpus, floor)
+            assert np.array_equal(density._nearest(units, queries), want)
+            # one part per CPU, none below the floor, together every row
+            assert len(parts) == max(min(cpus, n // floor), 1)
+            assert sum(parts) == n
+            assert len(parts) == 1 or min(parts) >= floor
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("rule,k,sample,h", [
+        ("primes", 2, 3000, 0.1), ("primes", 3, 20000, 0.1),
+        ("naturals", 4, 20000, 0.25),
+    ])
+    def test_sampled_report_unchanged(self, monkeypatch, rule, k, sample, h):
+        cloud = directions(ground_set(rule, 500), k, sample=sample, seed=3)
+        net = sphere_net(k, h)
+        want = covering_radius(cloud, net)
+        for cpus in (2, 3, 4):
+            force_split(monkeypatch, cpus, 1)
+            assert covering_radius(cloud, net) == want
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(density.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(density.os, "cpu_count", lambda: 3)
+        assert density._usable_cpus() == 3
+        monkeypatch.setattr(density.os, "cpu_count", lambda: None)
+        assert density._usable_cpus() == 1
 
 
 class TestRatioGap:

@@ -15,9 +15,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from directions import density
 from directions.core import scaled_floats
 from directions.density import covering_radius, sphere_net
 from directions.enumeration import (
+    _ITER_ROWS,
+    _divide_gcd,
     _sort_rows,
     directions,
     explicit_ground_set,
@@ -47,6 +50,7 @@ from oracles import (
     full_covering_radius,
     full_orbit_validation,
     level_sorted_directions,
+    linalg_unit_rows,
     mask_permutation_closure,
     mp_surd_sign,
     surd_sum_repr,
@@ -172,6 +176,13 @@ def test_chamber_radius_matches_full_cloud(elements, k, distinct, h):
         assert (rep.covering_radius, rep.argmax_net_point, rep.cloud_size) == want
 
 
+def test_split_trees_keep_chamber_radius():
+    # every cloud of two or more rows split into up to three trees
+    with mock.patch.object(density, "_usable_cpus", lambda: 3), \
+            mock.patch.object(density, "_PART_FLOOR", 1):
+        test_chamber_radius_matches_full_cloud()
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     rule=st.sampled_from(["naturals", "primes", "powers-of-2", "poly-2"]),
@@ -213,6 +224,69 @@ def test_unit_rows_object_matches_scaled_floats(shifts, rows):
     want = np.array([scaled_floats(row) for row in wide])
     want = want / np.linalg.norm(want, axis=1, keepdims=True)
     assert np.array_equal(unit_rows(wide), want)
+
+
+@st.composite
+def gcd_rows(draw):
+    """Rows of positive entries times a row factor, so some rows keep a
+    gcd above 1 to the last column: int64 rows, or object rows with
+    entries past 2^62."""
+    k = draw(st.integers(2, 6))
+    wide = draw(st.booleans())
+    entry = st.integers(1, 3000)
+    if wide:
+        entry = st.one_of(entry, st.integers(1 << 62, 1 << 90))
+    rows = draw(st.lists(
+        st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=30
+    ))
+    factors = draw(st.lists(
+        st.sampled_from([1, 2, 3, 12, 210, 9973, 1 << 20]),
+        min_size=len(rows), max_size=len(rows),
+    ))
+    rows = [[c * f for c in row] for row, f in zip(rows, factors)]
+    return np.array(rows, dtype=object if wide else np.int64)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(rows=gcd_rows())
+@example(rows=np.array([[6, 10, 15], [4, 6, 9], [8, 12, 16]], dtype=np.int64))
+@example(rows=np.array([[6 << 70, 10 << 70, 15], [4, 6, 9 << 63]], dtype=object))
+def test_divide_gcd_matches_gcd_reduce(rows):
+    want = rows // np.gcd.reduce(rows, axis=1)[:, None]
+    got = rows.copy()
+    _divide_gcd(got)
+    assert got.dtype == rows.dtype
+    assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    rows=st.sampled_from([10, 10**6, 1 << 61, 1 << 70, 1 << 600]).flatmap(
+        lambda scale: st.integers(2, 20).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(0, scale), min_size=k, max_size=k),
+                min_size=1, max_size=30,
+            )
+        )
+    ),
+)
+def test_unit_rows_match_linalg_norm(rows):
+    # past 2^62 the rows are object rows, past 2^500 scaled ones
+    arr = np.array(rows, dtype=object)
+    assume(arr.any(axis=1).all())
+    if arr.max() < 1 << 62:
+        arr = arr.astype(np.int64)
+    assert np.array_equal(unit_rows(arr), linalg_unit_rows(arr))
+
+
+def test_unit_rows_match_linalg_norm_near_int64_edge():
+    # entries near the scale, which columns summed one at a time would
+    # round differently at k >= 8; the rows span two blocks of unit_rows
+    rng = np.random.default_rng(0)
+    for k in range(2, 21):
+        for scale in (10, 10**6, 1 << 61):
+            rows = rng.integers(scale // 2, scale, size=(_ITER_ROWS + 77, k))
+            assert np.array_equal(unit_rows(rows), linalg_unit_rows(rows))
 
 
 # squarefree cofactors: products of distinct primes, small and near 10^4
