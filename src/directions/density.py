@@ -28,6 +28,10 @@ uncompacted node boxes) on its own thread, and each query takes the least
 of the parts' distances.  That is the nearest distance over all rows, the
 same float, so no report depends on the CPU count.
 
+scipy.spatial is imported with the first KD tree, not with this module, so
+the commands that build none (everything but density, chain and net-audit)
+never pay for it.
+
 The remaining operations cover the growth-condition experiments: block
 maxima of consecutive-element ratios, the bracketing witness tuples that
 turn a slowly growing ground set into directions approximating a chosen
@@ -42,15 +46,28 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import ceil, sqrt
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import distance, is_unit, normalize
 from .enumeration import DirectionCloud, GroundSet, check_budget, directions
 from .enumeration import orbit_rows, unit_rows
 from .errors import CertificateError, DomainError
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree as KDTree
+
+
+def cKDTree(data: np.ndarray, *args, **kwargs) -> KDTree:
+    """scipy.spatial.cKDTree, with scipy.spatial imported on the first call.
+
+    Every tree is built through this module attribute, so the benchmark's
+    tracer can swap it to count builds and queries.
+    """
+    from scipy.spatial import cKDTree as KDTree
+
+    return KDTree(data, *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -151,7 +168,7 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
     )
 
 
-def _cloud_tree(units: np.ndarray) -> cKDTree:
+def _cloud_tree(units: np.ndarray) -> KDTree:
     # a query's distances do not depend on the tree's shape; this one builds faster
     return cKDTree(units, leafsize=32, balanced_tree=False, compact_nodes=False)
 
