@@ -14,12 +14,18 @@ An exhaustive cloud and the net are closed under coordinate permutations.
 For a sorted net point q, the rearrangement inequality makes q . sp, and
 so closeness to q, largest over the orbit of a row p where sp is sorted
 like q.  So the covering radius is the worst distance from a sorted net
-point to the chamber rows, and the KD tree holds only those.  The report
-names the first net point in sphere_net order that attains the radius, a
-member of the orbit of a worst sorted point.  Permuted distances round
-along other coordinate orders, so each sorted point within _TIE of the
-worst is settled on its orbit against the expanded orbits of the rows
-near it, and both fields equal those of the expanded computation.
+point to the chamber rows, and the KD tree holds only those.  The sorted
+net points are the nondecreasing integer vectors with last entry d, so a
+net builds only those C(d + k - 1, k - 1) and charges the budget for
+them; the whole (d + 1)^k - d^k points, which sampled clouds and the
+audit query, are built and charged on first use.  The report names the
+first net point in sphere_net order that attains the radius, a member of
+the orbit of a worst sorted point.  Permuted distances round along other
+coordinate orders, so each sorted point within _TIE of the worst is
+settled on its orbit against the expanded orbits of the rows near it,
+and both fields equal those of the expanded computation.  Orbit members
+get their unit rows from their integer vectors as the net does, with
+exact integer squares, so they carry the net's floats.
 
 Every nearest-distance query goes through one kernel: the cloud's unit rows
 are cut into contiguous parts, one per usable CPU and none below a fixed
@@ -45,14 +51,15 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import ceil, sqrt
+from functools import cached_property
+from math import ceil, comb, sqrt
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .core import distance, is_unit, normalize
 from .enumeration import DirectionCloud, GroundSet, check_budget, directions
-from .enumeration import orbit_rows, unit_rows
+from .enumeration import _chamber_blocks, orbit_rows, unit_rows
 from .errors import CertificateError, DomainError
 
 if TYPE_CHECKING:
@@ -75,15 +82,48 @@ class SphereNet:
     k: int
     h: float
     denominator: int
-    points: np.ndarray  # (n, k) float64 unit rows
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        d = self.denominator
+        return (d + 1) ** self.k - d**self.k
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The whole net, (size, k) float64 unit rows, charged on first use."""
+        k, d = self.k, self.denominator
+        check_budget(self.size, f"net points at h={self.h}")
+        blocks = []
+        for lead in range(k):
+            # vectors whose first coordinate equal to d sits at index `lead`;
+            # earlier coordinates stay below d, so each vector appears once
+            ranges = (
+                [np.arange(d)] * lead
+                + [np.array([d])]
+                + [np.arange(d + 1)] * (k - 1 - lead)
+            )
+            grid = np.meshgrid(*ranges, indexing="ij")
+            blocks.append(np.stack(grid, axis=-1).reshape(-1, k))
+        pts = np.concatenate(blocks).astype(np.float64)
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        return pts
+
+    @cached_property
+    def chamber(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted net points in sphere_net order: their integer vectors
+        (nondecreasing, last entry d), unit rows and sphere_net indices."""
+        d = self.denominator
+        ints = np.concatenate(list(_chamber_blocks(d + 1, self.k - 1, False)))
+        ints = np.column_stack([ints, np.full(len(ints), d)])
+        index = _net_index(ints, d)
+        order = np.argsort(index)
+        ints = ints[order]
+        return ints, unit_rows(ints), index[order]
 
 
 def sphere_net(k: int, h: float) -> SphereNet:
-    """Deterministic net of mesh <= h on the orthant unit sphere."""
+    """Deterministic net of mesh <= h on the orthant unit sphere; building
+    it charges its sorted points, and ``points`` the whole net when read."""
     if k < 2:
         raise DomainError("net dimension must be >= 2")
     if not 0 < h <= 1:
@@ -91,21 +131,8 @@ def sphere_net(k: int, h: float) -> SphereNet:
     # the net has more than d = ceil(k/h) points, and k/h may be inf
     check_budget(k / h, f"net points at h={h} (more than k/h)")
     d = ceil(k / h)
-    check_budget((d + 1) ** k - d**k, f"net points at h={h}")
-    blocks = []
-    for lead in range(k):
-        # vectors whose first coordinate equal to d sits at index `lead`;
-        # earlier coordinates stay below d, so each vector appears once
-        ranges = (
-            [np.arange(d)] * lead
-            + [np.array([d])]
-            + [np.arange(d + 1)] * (k - 1 - lead)
-        )
-        grid = np.meshgrid(*ranges, indexing="ij")
-        blocks.append(np.stack(grid, axis=-1).reshape(-1, k))
-    pts = np.concatenate(blocks).astype(np.float64)
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return SphereNet(k=k, h=float(h), denominator=d, points=pts)
+    check_budget(comb(d + k - 1, k - 1), f"sorted net points at h={h}")
+    return SphereNet(k=k, h=float(h), denominator=d)
 
 
 def audit_net(net: SphereNet, samples: int, seed: int = 0) -> tuple[float, bool]:
@@ -148,16 +175,16 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
         raise DomainError(
             f"cloud dimension {cloud.k} does not match net dimension {net.k}"
         )
-    units = unit_rows(cloud.rows)
     if cloud.sampled:
-        dists = _nearest(units, net.points)
+        pts = net.points  # a net over the budget is refused before any float
+        dists = _nearest(unit_rows(cloud.rows), pts)
         at = int(np.argmax(dists))
-        radius = float(dists[at])
+        radius, point = float(dists[at]), pts[at]
     else:
-        radius, at = _chamber_radius(cloud.rows, units, net)
+        radius, point = _chamber_radius(cloud.rows, net)
     return DensityReport(
         covering_radius=radius,
-        argmax_net_point=tuple(float(c) for c in net.points[at]),
+        argmax_net_point=tuple(float(c) for c in point),
         k=net.k,
         h=net.h,
         N=cloud.bound,
@@ -213,35 +240,40 @@ def _nearest(units: np.ndarray, queries: np.ndarray) -> np.ndarray:
 _TIE = 1e-9
 
 
-def _chamber_radius(
-    rows: np.ndarray, units: np.ndarray, net: SphereNet
-) -> tuple[float, int]:
-    """Covering radius and first argmax of an exhaustive cloud's chamber."""
-    pts, d = net.points, net.denominator
-    chamber = np.flatnonzero((pts[:, 1:] >= pts[:, :-1]).all(axis=1))
-    dists = _nearest(units, pts[chamber])
-    top = dists >= dists.max() - _TIE
+def _chamber_radius(rows: np.ndarray, net: SphereNet) -> tuple[float, np.ndarray]:
+    """Covering radius and first argmax point of an exhaustive cloud's chamber."""
+    units = unit_rows(rows)
+    ints, pts, _ = net.chamber
+    dists = _nearest(units, pts)
     found = []
-    for i, dist in zip(chamber[top], dists[top]):
-        near = rows[np.linalg.norm(units - pts[i], axis=1) <= dist + _TIE]
-        v = np.rint(pts[i] * d / pts[i, -1]).astype(np.int64)  # largest entry d
-        orbit = sorted(_net_index(p, d) for p in orbit_rows(v[None, :]).tolist())
-        got = _nearest(unit_rows(orbit_rows(near)), pts[orbit])
-        found += zip(got.tolist(), orbit)
-    radius = max(g for g, _ in found)
-    return radius, min(j for g, j in found if g == radius)
+    for i in np.flatnonzero(dists >= dists.max() - _TIE):
+        near = rows[np.linalg.norm(units - pts[i], axis=1) <= dists[i] + _TIE]
+        orbit = orbit_rows(ints[i : i + 1])
+        got = _nearest(unit_rows(orbit_rows(near)), unit_rows(orbit))
+        index = _net_index(orbit, net.denominator)
+        found += zip(got.tolist(), index.tolist(), orbit.tolist())
+    radius = max(g for g, _, _ in found)
+    _, v = min((j, v) for g, j, v in found if g == radius)
+    return radius, unit_rows(np.array([v]))[0]
 
 
-def _net_index(v: Sequence[int], d: int) -> int:
-    """Position of the integer vector v (largest entry d) in sphere_net."""
-    k = len(v)
-    lead = v.index(d)  # the block of v, after d^j (d+1)^(k-1-j) points each
-    index = sum(d**j * (d + 1) ** (k - 1 - j) for j in range(lead))
-    pos = 0
-    for t, c in enumerate(v):
-        if t != lead:  # mixed radix: d before the lead, d + 1 after it
-            pos = pos * (d if t < lead else d + 1) + c
-    return index + pos
+def _net_index(v: np.ndarray, d: int) -> np.ndarray:
+    """Positions in sphere_net of the integer rows v, each with largest entry d.
+
+    A row's block is the index of its first d, after d^j (d+1)^(k-1-j)
+    points per block j before it; inside the block its other entries are
+    mixed-radix digits, base d before the first d and d + 1 after it.
+    """
+    n, k = v.shape
+    lead = np.argmax(v == d, axis=1)
+    # Python ints past int64, which only a raised budget can reach
+    dtype = np.int64 if (d + 1) ** k < 1 << 63 else object
+    v, pos = v.astype(dtype), np.zeros(n, dtype=dtype)
+    for t in range(k):
+        radix = np.where(t < lead, d, d + 1).astype(dtype)
+        pos = np.where(t == lead, pos, pos * radix + v[:, t])
+    blocks = [0] + [d**j * (d + 1) ** (k - 1 - j) for j in range(k - 1)]
+    return np.cumsum(np.array(blocks, dtype=dtype))[lead] + pos
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ iteration, CSV export and ``unit_points`` see every row through one
 expansion, ``orbit_rows``, which builds each distinct arrangement once.
 Dedupe and expansion share one row sort: one ``np.sort`` of packed int64 keys
 for nonnegative int64 rows with k * bit_length(max) <= 63, else ``lexsort``.
-One writer formats every CSV from array slices with ``%s``.
+One writer formats every CSV: small nonnegative int64 entries from tables of
+tokens, everything else from array slices with ``%s``, the same bytes.
 """
 
 from __future__ import annotations
@@ -215,23 +216,19 @@ def orbit_rows(rows: np.ndarray) -> np.ndarray:
     arrangement is built once and the work follows the output, not k!;
     the last entry left has one place.
     """
-    placed, rest = rows[:, :0], rows
+    # entries as lists of 1-D columns: each pass gathers columns, not rows
+    placed, rest = [], list(rows.T)
     for _ in range(rows.shape[1] - 1):
-        width = rest.shape[1]
         # rows sorted, so entry j is a value not yet tried if it differs
         # from entry j - 1
-        fresh = [slice(None)] + [rest[:, j] != rest[:, j - 1] for j in range(1, width)]
-        placed = np.concatenate([
-            np.concatenate([placed[p], rest[p, j : j + 1]], axis=1)
-            for j, p in enumerate(fresh)
-        ])
-        rest = np.concatenate([
-            rest[p][:, [c for c in range(width) if c != j]]
-            for j, p in enumerate(fresh)
-        ])
-    placed = np.concatenate([placed, rest], axis=1)
-    del rest  # one array fewer held during the sort
-    return _sort_rows(placed, unique=False)
+        fresh = [slice(None)] + [rest[j] != rest[j - 1] for j in range(1, len(rest))]
+        placed = [np.concatenate([col[p] for p in fresh]) for col in placed]
+        placed.append(np.concatenate([rest[j][p] for j, p in enumerate(fresh)]))
+        rest = [np.concatenate([rest[c + (c >= j)][p] for j, p in enumerate(fresh)])
+                for c in range(len(rest) - 1)]
+    out = np.column_stack(placed + rest)
+    del placed, rest  # no column held during the sort
+    return _sort_rows(out, unique=False)
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -416,14 +413,28 @@ def directions(
 
 
 def _write_csv(path: str, header: Sequence[str], rows: np.ndarray) -> None:
-    """LF-terminated CSV of a 2-D array, the same bytes on every platform;
-    ``%s`` prints an int as str and a float as repr, as csv.writer does."""
+    """LF-terminated CSV of a 2-D array, the same bytes on every platform.
+
+    Nonnegative int64 cells come from tables of ``b"%d,"`` and ``b"%d\\n"``
+    tokens, NUL padding dropped, when max < size bounds the tables' cost;
+    all else goes through ``%s``: str of an int, repr of a float.
+    """
+    top = int(rows.max()) if rows.dtype == np.int64 and rows.size else 0
+    tokens = 0 < top < rows.size and rows.min() >= 0
+    if tokens:
+        digits = np.arange(top + 1).astype(f"S{len(str(top))}")
+        comma, newline = np.char.add(digits, b","), np.char.add(digits, b"\n")
     line = ",".join(["%s"] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(rows), _ITER_ROWS):
             chunk = rows[start : start + _ITER_ROWS]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            if tokens:
+                cells = comma[chunk]
+                cells[:, -1] = newline[chunk[:, -1]]
+                fh.write(cells.tobytes().translate(None, b"\0"))
+            else:
+                fh.write((line * len(chunk) % tuple(chunk.ravel().tolist())).encode())
 
 
 def export_csv(cloud: DirectionCloud, path: str) -> None:

@@ -11,7 +11,8 @@ three apply the package's own TargetPoint maps and keys, so they pin
 generation against search.  The surd printer and float evaluator that
 ``exact`` replaced are kept as written too; the evaluator reads the
 package's ``_sqrt_bounds``.  So is the ``np.linalg.norm`` body of
-``unit_rows``.
+``unit_rows``, the ``%s`` body of ``enumeration._write_csv`` and the
+scalar sphere-net index.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from directions.core import SCALE_BITS
+from directions.enumeration import _ITER_ROWS
 from directions.errors import DomainError
 from directions.exact import _sqrt_bounds
 from directions.targets import FINITE, TargetPoint, TargetSpec, canonical_order
@@ -377,3 +379,28 @@ def linalg_unit_rows(rows):
     else:
         pts = rows.astype(np.float64)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def percent_s_csv(path, header, rows):
+    """``enumeration._write_csv`` as the package wrote it before token tables:
+    one ``%s`` format per slice of rows, every array kind alike."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _ITER_ROWS):
+            chunk = rows[start : start + _ITER_ROWS]
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def scalar_net_index(v, d):
+    """Position of the integer vector v (largest entry d) in sphere_net, one
+    vector at a time, as ``density._net_index`` computed it before it took
+    arrays."""
+    k = len(v)
+    lead = v.index(d)  # the block of v, after d^j (d+1)^(k-1-j) points each
+    index = sum(d**j * (d + 1) ** (k - 1 - j) for j in range(lead))
+    pos = 0
+    for t, c in enumerate(v):
+        if t != lead:  # mixed radix: d before the lead, d + 1 after it
+            pos = pos * (d if t < lead else d + 1) + c
+    return index + pos

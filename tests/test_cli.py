@@ -118,6 +118,21 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 9
 
+    def test_k6_exhaustive_density_charges_the_sorted_net(self, capsys, monkeypatch):
+        # at k=6, h=0.2 the net has 158,503,681 points, over the default
+        # budget, of which exhaustive clouds query the 324,632 sorted ones;
+        # sampled clouds and the audit query the whole net
+        monkeypatch.delenv("DIRECTIONS_BUDGET", raising=False)
+        ground = ["--rule", "naturals", "--N", "4", "--k", "6", "--h", "0.2"]
+        code, out, _ = run(capsys, "density", *ground)
+        assert code == 0 and json.loads(out)["k"] == 6
+        code, out, _ = run(capsys, "chain", *ground)
+        assert code == 0 and json.loads(out)["lower"]["k"] == 5
+        for argv in (["density", *ground, "--sample", "100"],
+                     ["net-audit", "--k", "6", "--h", "0.2"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "158503681" in err
+
 
 class TestBadInput:
     @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 import os
 import random
+import tempfile
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import cycle, islice, permutations
-from math import prod
+from math import comb, prod
 from unittest import mock
 
 import mpmath
@@ -22,6 +23,7 @@ from directions.enumeration import (
     _ITER_ROWS,
     _divide_gcd,
     _sort_rows,
+    _write_csv,
     directions,
     explicit_ground_set,
     ground_set,
@@ -53,6 +55,8 @@ from oracles import (
     linalg_unit_rows,
     mask_permutation_closure,
     mp_surd_sign,
+    percent_s_csv,
+    scalar_net_index,
     surd_sum_repr,
     surd_to_float,
     trial_squarefree_split,
@@ -198,6 +202,99 @@ def test_k2_net_radius_brackets_arc_radius(rule, N, h, distinct):
     exact = arc_covering_radius(A.elements, distinct)
     assert net_radius.covering_radius <= exact + 1e-12
     assert exact <= net_radius.covering_radius + h + 1e-12
+
+
+# entries on both sides of the token-table bound (largest entry below the
+# cell count), the decimal-width edges and the int64 edge
+CSV_INT64 = st.one_of(
+    st.sampled_from([0, 1, 9, 10, 99, 100, 2**63 - 2, 2**63 - 1]),
+    st.integers(0, 120),
+    st.integers(-3, 2**63 - 1),
+)
+CSV_ARRAYS = st.integers(1, 6).flatmap(
+    lambda k: st.integers(0, 40).flatmap(
+        lambda n: st.one_of(
+            arrays(np.int64, (n, k), elements=CSV_INT64),
+            arrays(np.float64, (n, k), elements=st.floats(-1e300, 1e300)),
+            st.lists(
+                st.lists(st.integers(0, 2**70), min_size=k, max_size=k),
+                min_size=n, max_size=n,
+            ).map(lambda rows, k=k: np.array(rows, dtype=object).reshape(-1, k)),
+        )
+    )
+)
+
+
+def csv_bytes(writer, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        writer(path, [f"c{i}" for i in range(rows.shape[1])], rows)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=CSV_ARRAYS)
+@example(rows=np.zeros((0, 3), dtype=np.int64))
+@example(rows=np.zeros((0, 2), dtype=np.float64))
+@example(rows=np.zeros((0, 1), dtype=object))
+@example(rows=np.array([[9, 0, 3, 10, 1]]))  # largest entry one below the cells
+@example(rows=np.array([[9, 0, 3, 10, 1], [5, 5, 5, 5, 4]]))
+@example(rows=np.array([[2**63 - 1, 0], [1, 2**64 + 1]], dtype=object))
+@example(rows=np.array([[-1, 3, 2], [2, 0, 1]]))  # a negative entry, small max
+def test_csv_matches_percent_s_writer(rows):
+    assert csv_bytes(_write_csv, rows) == csv_bytes(percent_s_csv, rows)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("top", [1, 99, 10**6])
+def test_csv_matches_percent_s_writer_across_slices(extra, top):
+    # row counts around one slice of the writer, on both sides of the
+    # token-table bound (10^6 exceeds the 3 * (2^14 +- 1) cells)
+    n = _ITER_ROWS + extra
+    rows = np.random.default_rng(top).integers(0, top + 1, size=(n, 3))
+    rows[-1, -1] = top
+    assert csv_bytes(_write_csv, rows) == csv_bytes(percent_s_csv, rows)
+
+
+@pytest.mark.parametrize("k,hs", [
+    (2, [1.0, 0.05, 0.001]), (3, [0.5, 0.1, 0.03]), (4, [0.5, 0.2, 0.1]),
+    (5, [0.5, 0.25]),
+])
+def test_chamber_net_is_the_sorted_full_net(k, hs):
+    # the sorted net points, in sphere_net order and bit for bit
+    for h in hs:
+        net = sphere_net(k, h)
+        ints, units, index = net.chamber
+        full = net.points
+        want = np.flatnonzero((full[:, 1:] >= full[:, :-1]).all(axis=1))
+        assert np.array_equal(index, want)
+        assert units.dtype == np.float64 and np.array_equal(units, full[want])
+        assert (ints[:, -1] == net.denominator).all()
+        assert (np.diff(ints, axis=1) >= 0).all()
+        assert len(ints) == comb(net.denominator + k - 1, k - 1)
+        assert net.size == len(full)
+
+
+@st.composite
+def net_vectors(draw):
+    k, d = draw(st.integers(2, 6)), draw(st.integers(1, 30))
+    row = st.lists(st.integers(0, d), min_size=k, max_size=k)
+    rows = draw(st.lists(row, min_size=1, max_size=20))
+    # every row holds d somewhere, possibly more than once
+    for row in rows:
+        row[draw(st.integers(0, k - 1))] = d
+    return rows, d
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(vectors=net_vectors())
+# (d + 1)^k past 2^63: the index leaves int64 for Python ints
+@example(vectors=([[20] * 16, [0] * 15 + [20], [19] * 15 + [20], [20] + [0] * 15], 20))
+def test_net_index_matches_scalar_formula(vectors):
+    rows, d = vectors
+    got = density._net_index(np.array(rows), d).tolist()
+    assert got == [scalar_net_index(row, d) for row in rows]
 
 
 @pytest.mark.parametrize("shifts", [(0,), (62,), (600,), (1100,), (0, 600)])
