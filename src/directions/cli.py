@@ -30,7 +30,7 @@ from .construction import (
 from .density import (
     audit_net,
     chain_check,
-    covering_radius,
+    cloud_radius,
     ratio_gap,
     sphere_net,
     witness_tuple,
@@ -224,10 +224,9 @@ def _cmd_enumerate(args) -> None:
 
 def _cmd_density(args) -> None:
     A = _build_ground(args)
-    cloud = directions(
-        A, args.k, args.distinct, sample=args.sample, seed=args.seed
+    rep = cloud_radius(
+        A, args.k, args.h, args.distinct, sample=args.sample, seed=args.seed
     )
-    rep = covering_radius(cloud, sphere_net(args.k, args.h))
     _emit(asdict(rep), args.out)
 
 

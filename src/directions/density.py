@@ -15,17 +15,17 @@ For a sorted net point q, the rearrangement inequality makes q . sp, and
 so closeness to q, largest over the orbit of a row p where sp is sorted
 like q.  So the covering radius is the worst distance from a sorted net
 point to the chamber rows, and the KD tree holds only those.  The sorted
-net points are the nondecreasing integer vectors with last entry d, so a
-net builds only those C(d + k - 1, k - 1) and charges the budget for
-them; the whole (d + 1)^k - d^k points, which sampled clouds and the
-audit query, are built and charged on first use.  The report names the
-first net point in sphere_net order that attains the radius, a member of
-the orbit of a worst sorted point.  Permuted distances round along other
-coordinate orders, so each sorted point within _TIE of the worst is
-settled on its orbit against the expanded orbits of the rows near it,
-and both fields equal those of the expanded computation.  Orbit members
-get their unit rows from their integer vectors as the net does, with
-exact integer squares, so they carry the net's floats.
+net points are the C(d + k - 1, k - 1) nondecreasing integer vectors with
+last entry d, charged with the net; the whole net, which sampled clouds
+and the audit query, is their orbits under enumeration.orbit_rows, and
+its (d + 1)^k - d^k points are charged before it is built or a sampled
+cloud drawn.  The report names the first net point in sphere_net order
+(by the index of its first d, then by its other entries) at the radius;
+that order breaks ties and nothing else.  Permuted distances round along
+other coordinate orders, so the sorted points within _TIE of the worst are
+settled on their orbits against the expanded orbits of the rows near
+them, and both fields equal those of the expanded computation.  Net
+points take unit rows from their integer vectors, by exact squares.
 
 Every nearest-distance query goes through one kernel: the cloud's unit rows
 are cut into contiguous parts, one per usable CPU and none below a fixed
@@ -89,41 +89,27 @@ class SphereNet:
         return (d + 1) ** self.k - d**self.k
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """The whole net, (size, k) float64 unit rows, charged on first use."""
-        k, d = self.k, self.denominator
-        check_budget(self.size, f"net points at h={self.h}")
-        blocks = []
-        for lead in range(k):
-            # vectors whose first coordinate equal to d sits at index `lead`;
-            # earlier coordinates stay below d, so each vector appears once
-            ranges = (
-                [np.arange(d)] * lead
-                + [np.array([d])]
-                + [np.arange(d + 1)] * (k - 1 - lead)
-            )
-            grid = np.meshgrid(*ranges, indexing="ij")
-            blocks.append(np.stack(grid, axis=-1).reshape(-1, k))
-        pts = np.concatenate(blocks).astype(np.float64)
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        return pts
-
-    @cached_property
-    def chamber(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sorted net points in sphere_net order: their integer vectors
-        (nondecreasing, last entry d), unit rows and sphere_net indices."""
+    def chamber(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted net points in lexicographic order: their integer
+        vectors (nondecreasing, last entry d) and unit rows."""
         d = self.denominator
         ints = np.concatenate(list(_chamber_blocks(d + 1, self.k - 1, False)))
         ints = np.column_stack([ints, np.full(len(ints), d)])
-        index = _net_index(ints, d)
-        order = np.argsort(index)
-        ints = ints[order]
-        return ints, unit_rows(ints), index[order]
+        return ints, unit_rows(ints)
+
+    def charge(self) -> None:
+        """Refuse the whole net over the budget."""
+        check_budget(self.size, f"net points at h={self.h}")
+
+    def whole(self) -> np.ndarray:
+        """The whole net's integer vectors, lexicographic, charged first."""
+        self.charge()
+        return orbit_rows(self.chamber[0])
 
 
 def sphere_net(k: int, h: float) -> SphereNet:
     """Deterministic net of mesh <= h on the orthant unit sphere; building
-    it charges its sorted points, and ``points`` the whole net when read."""
+    it charges its sorted points, and ``whole`` the whole net."""
     if k < 2:
         raise DomainError("net dimension must be >= 2")
     if not 0 < h <= 1:
@@ -149,8 +135,7 @@ def audit_net(net: SphereNet, samples: int, seed: int = 0) -> tuple[float, bool]
     rng = np.random.default_rng(seed)
     pts = np.abs(rng.standard_normal((samples, net.k)))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    dists, _ = cKDTree(net.points).query(pts, k=1)
-    worst = float(dists.max())
+    worst = float(_nearest(unit_rows(net.whole()), pts).max())
     return worst, worst <= net.h
 
 
@@ -176,15 +161,18 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
             f"cloud dimension {cloud.k} does not match net dimension {net.k}"
         )
     if cloud.sampled:
-        pts = net.points  # a net over the budget is refused before any float
+        ints = net.whole()
+        pts, index = unit_rows(ints), _net_index(ints, net.denominator)
+        del ints  # unit rows and one index per net point stay, not the ints
         dists = _nearest(unit_rows(cloud.rows), pts)
-        at = int(np.argmax(dists))
-        radius, point = float(dists[at]), pts[at]
     else:
-        radius, point = _chamber_radius(cloud.rows, net)
+        dists, index, pts = _chamber_orbits(cloud.rows, net)
+    # the first worst point in sphere_net order: the index only breaks ties
+    ties = np.flatnonzero(dists == dists.max())
+    at = ties[np.argmin(index[ties])]
     return DensityReport(
-        covering_radius=radius,
-        argmax_net_point=tuple(float(c) for c in point),
+        covering_radius=float(dists[at]),
+        argmax_net_point=tuple(float(c) for c in pts[at]),
         k=net.k,
         h=net.h,
         N=cloud.bound,
@@ -236,25 +224,27 @@ def _nearest(units: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 # Distances this close may be one distance rounded along two coordinate
-# orders; _chamber_radius settles such near-ties on expanded rows.
+# orders; _chamber_orbits settles such near-ties on expanded rows.
 _TIE = 1e-9
 
 
-def _chamber_radius(rows: np.ndarray, net: SphereNet) -> tuple[float, np.ndarray]:
-    """Covering radius and first argmax point of an exhaustive cloud's chamber."""
+def _chamber_orbits(
+    rows: np.ndarray, net: SphereNet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distances, _net_index values and unit rows of the net points that
+    may attain the radius of an exhaustive cloud with these chamber rows:
+    the orbits of the sorted points within _TIE of the worst."""
     units = unit_rows(rows)
-    ints, pts, _ = net.chamber
+    ints, pts = net.chamber
     dists = _nearest(units, pts)
-    found = []
-    for i in np.flatnonzero(dists >= dists.max() - _TIE):
-        near = rows[np.linalg.norm(units - pts[i], axis=1) <= dists[i] + _TIE]
-        orbit = orbit_rows(ints[i : i + 1])
-        got = _nearest(unit_rows(orbit_rows(near)), unit_rows(orbit))
-        index = _net_index(orbit, net.denominator)
-        found += zip(got.tolist(), index.tolist(), orbit.tolist())
-    radius = max(g for g, _, _ in found)
-    _, v = min((j, v) for g, j, v in found if g == radius)
-    return radius, unit_rows(np.array([v]))[0]
+    ties = np.flatnonzero(dists >= dists.max() - _TIE)
+    near = np.zeros(len(rows), dtype=bool)
+    for i in ties:
+        near |= np.linalg.norm(units - pts[i], axis=1) <= dists[i] + _TIE
+    orbit = orbit_rows(ints[ties])
+    queries = unit_rows(orbit)
+    got = _nearest(unit_rows(orbit_rows(rows[near])), queries)
+    return got, _net_index(orbit, net.denominator), queries
 
 
 def _net_index(v: np.ndarray, d: int) -> np.ndarray:
@@ -268,7 +258,7 @@ def _net_index(v: np.ndarray, d: int) -> np.ndarray:
     lead = np.argmax(v == d, axis=1)
     # Python ints past int64, which only a raised budget can reach
     dtype = np.int64 if (d + 1) ** k < 1 << 63 else object
-    v, pos = v.astype(dtype), np.zeros(n, dtype=dtype)
+    v, pos = v.astype(dtype, copy=False), np.zeros(n, dtype=dtype)
     for t in range(k):
         radix = np.where(t < lead, d, d + 1).astype(dtype)
         pos = np.where(t == lead, pos, pos * radix + v[:, t])
@@ -377,6 +367,17 @@ def witness_tuple(
     return tuple(picks)
 
 
+def cloud_radius(
+    A: GroundSet, k: int, h: float, distinct: bool = False, **draw
+) -> DensityReport:
+    """covering_radius(directions(A, k, distinct, **draw), sphere_net(k, h))
+    with the net first: a sampled draw waits on the whole net's charge."""
+    net = sphere_net(k, h)
+    if draw.get("sample") is not None:
+        net.charge()
+    return covering_radius(directions(A, k, distinct, **draw), net)
+
+
 def chain_check(
     A: GroundSet,
     k: int,
@@ -397,9 +398,6 @@ def chain_check(
     if k < 3:
         raise DomainError("chain comparison needs k >= 3")
     return tuple(
-        covering_radius(
-            directions(A, d, distinct_entries_only, sample=sample, seed=seed),
-            sphere_net(d, h),
-        )
+        cloud_radius(A, d, h, distinct_entries_only, sample=sample, seed=seed)
         for d in (k, k - 1)
     )

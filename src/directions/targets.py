@@ -10,10 +10,10 @@ point.  ``close_generators`` produces the smallest admissible superset of
 its input; ``validate_target`` checks the conditions exactly and returns
 witnesses for any failure.
 
-``enumerate_dense`` fixes, per target kind, one deterministic sequence of
-points that is dense in the target set.  Downstream construction consumes
-this sequence, so its order is part of the package contract and must never
-change between releases.
+Each target kind has one deterministic sequence of points dense in the
+target set.  Construction consumes its first M points, ``dense_prefix``,
+so the order is part of the package contract and must never change
+between releases; ``enumerate_dense`` returns one point of it.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ three apply the package's own TargetPoint maps and keys, so they pin
 generation against search.  The surd printer and float evaluator that
 ``exact`` replaced are kept as written too; the evaluator reads the
 package's ``_sqrt_bounds``.  So is the ``np.linalg.norm`` body of
-``unit_rows``, the ``%s`` body of ``enumeration._write_csv`` and the
-scalar sphere-net index.
+``unit_rows``, the ``%s`` body of ``enumeration._write_csv``, the
+scalar sphere-net index and the meshgrid sphere net, whose row order is
+sphere_net order.
 """
 
 from __future__ import annotations
@@ -390,6 +391,27 @@ def percent_s_csv(path, header, rows):
         for start in range(0, len(rows), _ITER_ROWS):
             chunk = rows[start : start + _ITER_ROWS]
             fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def meshgrid_net(k, d):
+    """(integer rows, float64 unit rows) of the whole sphere net in
+    sphere_net order, as ``SphereNet.points`` built it before the net
+    became the orbits of its sorted chamber."""
+    blocks = []
+    for lead in range(k):
+        # vectors whose first coordinate equal to d sits at index `lead`;
+        # earlier coordinates stay below d, so each vector appears once
+        ranges = (
+            [np.arange(d)] * lead
+            + [np.array([d])]
+            + [np.arange(d + 1)] * (k - 1 - lead)
+        )
+        grid = np.meshgrid(*ranges, indexing="ij")
+        blocks.append(np.stack(grid, axis=-1).reshape(-1, k))
+    ints = np.concatenate(blocks)
+    pts = ints.astype(np.float64)
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return ints, pts
 
 
 def scalar_net_index(v, d):

@@ -133,6 +133,22 @@ class TestExitCodes:
             code, _, err = run(capsys, *argv)
             assert code == 2 and "158503681" in err
 
+    def test_sampled_net_over_budget_is_refused_before_the_draw(
+        self, capsys, monkeypatch
+    ):
+        # the whole net is over the default budget; refused after the
+        # draw, 2,000,000 tuples cost seconds and 431 MB for nothing
+        monkeypatch.delenv("DIRECTIONS_BUDGET", raising=False)
+
+        def refuse_to_draw(*args, **kwargs):
+            raise AssertionError("a cloud was drawn for a net the budget refuses")
+
+        for module in (directions.cli, directions.density):
+            monkeypatch.setattr(module, "directions", refuse_to_draw)
+        code, _, err = run(capsys, "density", "--rule", "primes", "--N", "5000",
+                           "--k", "6", "--h", "0.2", "--sample", "2000000")
+        assert code == 2 and "158503681" in err
+
 
 class TestBadInput:
     @pytest.mark.parametrize(

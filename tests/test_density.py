@@ -37,7 +37,7 @@ class TestSphereNet:
             (0.4472135954999579, 0.8944271909999159),
             (0.7071067811865475, 0.7071067811865475),
         }
-        assert {tuple(p) for p in net.points.tolist()} == want
+        assert {tuple(p) for p in unit_rows(net.whole()).tolist()} == want
 
     def test_k2_fine(self):
         net = sphere_net(2, 0.01)
@@ -46,9 +46,10 @@ class TestSphereNet:
 
     def test_points_are_unit_and_nonnegative(self):
         net = sphere_net(3, 0.2)
-        norms = np.linalg.norm(net.points, axis=1)
+        pts = unit_rows(net.whole())
+        norms = np.linalg.norm(pts, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
-        assert (net.points >= 0).all()
+        assert (pts >= 0).all()
 
     def test_mesh_bound_audited(self):
         # random unit vectors in the orthant all fall within h of the net
@@ -82,7 +83,7 @@ class TestCoveringRadius:
         rep = covering_radius(cloud, net)
         pts = cloud.unit_points()
         worst = max(
-            min(math.dist(q, p) for p in pts) for q in net.points
+            min(math.dist(q, p) for p in pts) for q in unit_rows(net.whole())
         )
         assert rep.covering_radius == pytest.approx(worst, abs=1e-12)
 
@@ -131,6 +132,10 @@ class TestCoveringRadius:
             covering_radius(cloud, net)
 
 
+def refuse_to_draw(*args, **kwargs):
+    raise AssertionError("a cloud was drawn for a net the budget refuses")
+
+
 def force_split(monkeypatch, cpus, floor):
     monkeypatch.setattr(density, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(density, "_PART_FLOOR", floor)
@@ -148,7 +153,7 @@ class TestSplitTrees:
             rows[:, 0] += 1  # no zero row
             units = unit_rows(rows)
             queries = np.concatenate([
-                sphere_net(k, 1.0).points,
+                unit_rows(sphere_net(k, 1.0).whole()),
                 unit_rows(np.abs(rng.standard_normal((200, k)))),
             ])
             want, _ = cKDTree(units).query(queries)
@@ -284,6 +289,15 @@ class TestChain:
         assert down.covering_radius == pytest.approx(
             math.sqrt(2 - math.sqrt(2)), abs=1e-9
         )
+
+    def test_sampled_net_over_budget_is_refused_before_the_draw(self, monkeypatch):
+        # the whole k=6 net at h=0.2 is over the default budget, so no
+        # tuple may be drawn for either dimension
+        monkeypatch.delenv("DIRECTIONS_BUDGET", raising=False)
+        monkeypatch.setattr(density, "directions", refuse_to_draw)
+        A = ground_set("primes", 5000)
+        with pytest.raises(ResourceError, match="158503681"):
+            chain_check(A, 6, 0.2, sample=2_000_000)
 
     def test_naturals_both_levels(self):
         top, down = chain_check(ground_set("naturals", 60), 3, 0.1)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from directions import density
 from directions.core import scaled_floats
@@ -54,6 +55,7 @@ from oracles import (
     level_sorted_directions,
     linalg_unit_rows,
     mask_permutation_closure,
+    meshgrid_net,
     mp_surd_sign,
     percent_s_csv,
     scalar_net_index,
@@ -176,7 +178,8 @@ def test_chamber_radius_matches_full_cloud(elements, k, distinct, h):
     for shift in (0, 62):
         A = explicit_ground_set([e << shift for e in elements])
         rep = covering_radius(directions(A, k, distinct), net)
-        want = full_covering_radius(A.elements, k, distinct, net.points)
+        full = meshgrid_net(k, net.denominator)[1]
+        want = full_covering_radius(A.elements, k, distinct, full)
         assert (rep.covering_radius, rep.argmax_net_point, rep.cloud_size) == want
 
 
@@ -262,18 +265,47 @@ def test_csv_matches_percent_s_writer_across_slices(extra, top):
     (5, [0.5, 0.25]),
 ])
 def test_chamber_net_is_the_sorted_full_net(k, hs):
-    # the sorted net points, in sphere_net order and bit for bit
+    # the chamber is the meshgrid net's nondecreasing rows in lexicographic
+    # order, the whole net its rows as a set, bit for bit
+    def lex(rows):
+        return rows[np.lexsort(rows.T[::-1])]
+
     for h in hs:
         net = sphere_net(k, h)
-        ints, units, index = net.chamber
-        full = net.points
-        want = np.flatnonzero((full[:, 1:] >= full[:, :-1]).all(axis=1))
-        assert np.array_equal(index, want)
-        assert units.dtype == np.float64 and np.array_equal(units, full[want])
-        assert (ints[:, -1] == net.denominator).all()
-        assert (np.diff(ints, axis=1) >= 0).all()
+        full_ints, full = meshgrid_net(k, net.denominator)
+        ints, units = net.chamber
+        up = (full_ints[:, 1:] >= full_ints[:, :-1]).all(axis=1)
+        order = np.lexsort(full_ints[up].T[::-1])
+        assert np.array_equal(ints, full_ints[up][order])
+        assert units.dtype == np.float64 and np.array_equal(units, full[up][order])
         assert len(ints) == comb(net.denominator + k - 1, k - 1)
+        assert np.array_equal(lex(unit_rows(net.whole())), lex(full))
         assert net.size == len(full)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    elements=st.sets(st.integers(1, 9), min_size=1, max_size=4),
+    k=st.integers(2, 4),
+    h=st.sampled_from([0.5, 0.25, 0.15]),
+    draws=st.sampled_from([1, 40]),
+    seed=st.integers(0, 2**16),
+)
+def test_sampled_radius_is_the_first_argmax_in_sphere_net_order(
+    elements, k, h, draws, seed
+):
+    # 40 n^k draws almost surely hold every tuple, so the cloud is closed
+    # under permutations and its worst net points tie along whole orbits;
+    # the report is np.argmax over the meshgrid net, in sphere_net order
+    A = explicit_ground_set(sorted(elements))
+    cloud = directions(A, k, sample=draws * len(A) ** k, seed=seed)
+    net = sphere_net(k, h)
+    rep = covering_radius(cloud, net)
+    full = meshgrid_net(k, net.denominator)[1]
+    dists, _ = cKDTree(unit_rows(cloud.rows)).query(full)
+    at = int(np.argmax(dists))
+    assert rep.covering_radius == float(dists[at])
+    assert rep.argmax_net_point == tuple(float(c) for c in full[at])
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from directions.density import sphere_net
+from directions.enumeration import unit_rows
 from directions.errors import DomainError, ResourceError
 from directions.targets import (
     FINITE,
@@ -309,7 +310,7 @@ class TestEnumeration:
         radii = []
         for M in (200, 1000):
             pts = np.array([p.unit() for p in dense_prefix(s, M)])
-            d, _ = cKDTree(pts).query(net.points)
+            d, _ = cKDTree(pts).query(unit_rows(net.whole()))
             radii.append(float(d.max()))
         assert radii[0] < 0.05
         assert radii[1] <= radii[0]
