@@ -27,12 +27,15 @@ settled on their orbits against the expanded orbits of the rows near
 them, and both fields equal those of the expanded computation.  Net
 points take unit rows from their integer vectors, by exact squares.
 
-Every nearest-distance query goes through one kernel: the cloud's unit rows
-are cut into contiguous parts, one per usable CPU and none below a fixed
-floor of rows, each part gets its own KD tree (unbalanced, leafsize 32,
-uncompacted node boxes) on its own thread, and each query takes the least
-of the parts' distances.  That is the nearest distance over all rows, the
-same float, so no report depends on the CPU count.
+Every nearest-distance query goes through one kernel, which settles only
+the queries that can attain the worst distance.  The cloud's unit rows are
+cut into contiguous parts, one per usable CPU and none below a fixed floor
+of rows, each with its own KD tree (unbalanced, leafsize 32, uncompacted
+node boxes) built on its own thread.  With several parts, a settled probe
+of the queries bounds the worst distance from below, each tree answers its
+own slice within that bound, and the queries none rules out take the least
+of the parts' distances: the nearest distance over all rows, the same
+float, so no report depends on the CPU count.
 
 scipy.spatial is imported with the first KD tree, not with this module, so
 the commands that build none (everything but density, chain and net-audit)
@@ -135,7 +138,7 @@ def audit_net(net: SphereNet, samples: int, seed: int = 0) -> tuple[float, bool]
     rng = np.random.default_rng(seed)
     pts = np.abs(rng.standard_normal((samples, net.k)))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    worst = float(_nearest(unit_rows(net.whole()), pts).max())
+    worst = float(_worst(unit_rows(net.whole()), pts, 0)[1].max())
     return worst, worst <= net.h
 
 
@@ -161,15 +164,14 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
             f"cloud dimension {cloud.k} does not match net dimension {net.k}"
         )
     if cloud.sampled:
-        ints = net.whole()
-        pts, index = unit_rows(ints), _net_index(ints, net.denominator)
-        del ints  # unit rows and one index per net point stay, not the ints
-        dists = _nearest(unit_rows(cloud.rows), pts)
+        pts = unit_rows(net.whole())
+        at, dists = _worst(unit_rows(cloud.rows), pts, 0)
+        # the integer rows are rebuilt, not held through the trees, for memory
+        pts, index = pts[at], _net_index(net.whole()[at], net.denominator)
     else:
         dists, index, pts = _chamber_orbits(cloud.rows, net)
-    # the first worst point in sphere_net order: the index only breaks ties
-    ties = np.flatnonzero(dists == dists.max())
-    at = ties[np.argmin(index[ties])]
+    # every point here is at the radius; the first in sphere_net order wins
+    at = np.argmin(index)
     return DensityReport(
         covering_radius=float(dists[at]),
         argmax_net_point=tuple(float(c) for c in pts[at]),
@@ -200,27 +202,41 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _nearest(units: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Distance from each query to its nearest unit row.
+def _worst(
+    units: np.ndarray, queries: np.ndarray, slack: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the queries whose nearest distance to a unit row is
+    within slack of the largest, R, and those distances.
 
-    The rows are cut into contiguous parts, one per usable CPU and none
-    below _PART_FLOOR rows, and each part builds and queries its own tree.
-    Parts after the first run on worker threads and the first on this one,
-    so one malloc arena fewer keeps freed tree memory.  The least of the
-    parts' nearest distances is the nearest distance over all rows, the
-    same float.
+    Part 0 builds on this thread, so one malloc arena fewer keeps freed
+    tree memory.  With several parts, low = (worst probe distance) - slack
+    <= R - slack, so a row nearer than low in a tree's own slice rules a
+    query out; the rest are settled over every tree, the same float.
     """
     count = min(_usable_cpus(), len(units) // _PART_FLOOR)
     parts = np.array_split(units, max(count, 1))
-
-    def nearest(part: np.ndarray) -> np.ndarray:
-        return _cloud_tree(part).query(queries, k=1)[0]
-
     if len(parts) == 1:
-        return nearest(units)
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
-        rest = pool.map(nearest, parts[1:])
-        return np.minimum.reduce([nearest(parts[0]), *rest])
+        at, dists = np.arange(len(queries)), _cloud_tree(units).query(queries)[0]
+    else:
+        with ThreadPoolExecutor(len(parts) - 1) as pool:
+            rest = pool.map(_cloud_tree, parts[1:])
+            trees = [_cloud_tree(parts[0]), *rest]
+
+            def settle(q: np.ndarray) -> np.ndarray:
+                return np.minimum.reduce([t.query(q)[0] for t in trees])
+
+            low = max(settle(queries[:: len(queries) // 1000 + 1]).max() - slack, 0)
+
+            def bound(tree: KDTree, q: np.ndarray) -> np.ndarray:
+                return tree.query(q, distance_upper_bound=low)[0]
+
+            slices = np.array_split(queries, len(trees))
+            rest = pool.map(bound, trees[1:], slices[1:])
+            bounded = np.concatenate([bound(trees[0], slices[0]), *rest])
+        at = np.flatnonzero(bounded >= low)  # inf, or no row nearer than low
+        dists = settle(queries[at])
+    keep = dists >= dists.max() - slack
+    return at[keep], dists[keep]
 
 
 # Distances this close may be one distance rounded along two coordinate
@@ -231,20 +247,19 @@ _TIE = 1e-9
 def _chamber_orbits(
     rows: np.ndarray, net: SphereNet
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distances, _net_index values and unit rows of the net points that
-    may attain the radius of an exhaustive cloud with these chamber rows:
-    the orbits of the sorted points within _TIE of the worst."""
+    """Distances, _net_index values and unit rows of the net points at the
+    radius of an exhaustive cloud with these chamber rows, found among the
+    orbits of the sorted points within _TIE of the worst."""
     units = unit_rows(rows)
     ints, pts = net.chamber
-    dists = _nearest(units, pts)
-    ties = np.flatnonzero(dists >= dists.max() - _TIE)
+    ties, dists = _worst(units, pts, _TIE)
     near = np.zeros(len(rows), dtype=bool)
-    for i in ties:
-        near |= np.linalg.norm(units - pts[i], axis=1) <= dists[i] + _TIE
+    for i, dist in zip(ties, dists):
+        near |= np.linalg.norm(units - pts[i], axis=1) <= dist + _TIE
     orbit = orbit_rows(ints[ties])
     queries = unit_rows(orbit)
-    got = _nearest(unit_rows(orbit_rows(rows[near])), queries)
-    return got, _net_index(orbit, net.denominator), queries
+    at, got = _worst(unit_rows(orbit_rows(rows[near])), queries, 0)
+    return got, _net_index(orbit[at], net.denominator), queries[at]
 
 
 def _net_index(v: np.ndarray, d: int) -> np.ndarray:

@@ -217,14 +217,19 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
             dropped = {i for j, i in enumerate(support) if not mask >> j & 1}
             part = p.restricted([i for i in range(k) if i not in dropped])
             values = list(dict.fromkeys(part.coords))
+            squares = [c.square() / part.norm_sq for c in values]
             row = sorted(values.index(c) for c in part.coords)
-            parts.append((values, row))
+            parts.append((values, squares, row))
             total += factorial(k) // prod(map(factorial, Counter(row).values()))
         check_budget(total, "closure arrangements")
-        for values, row in parts:
+        for values, squares, row in parts:
             for order in orbit_rows(np.array([row])).tolist():
-                q = TargetPoint(tuple(values[i] for i in order))
-                seen.setdefault(q.key(), q)
+                key = tuple(squares[i] for i in order)
+                if key not in seen:
+                    q = TargetPoint(tuple(values[i] for i in order))
+                    # an arrangement's key is its restriction's, rearranged
+                    q.__dict__["_unit_squares"] = key
+                    seen[key] = q
     closed = canonical_order(seen.values())
     return TargetSpec(kind=FINITE, k=k, points=tuple(closed))
 

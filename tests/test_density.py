@@ -163,11 +163,17 @@ class TestSplitTrees:
                 density, "_cloud_tree", lambda u: parts.append(len(u)) or tree(u)
             )
             force_split(monkeypatch, cpus, floor)
-            assert np.array_equal(density._nearest(units, queries), want)
-            # one part per CPU, none below the floor, together every row
-            assert len(parts) == max(min(cpus, n // floor), 1)
-            assert sum(parts) == n
-            assert len(parts) == 1 or min(parts) >= floor
+            for slack in (0, density._TIE, 0.05):
+                parts.clear()
+                at, dists = density._worst(units, queries, slack)
+                # every query within slack of the worst and no other, in
+                # query order, at its one-tree distance to the bit
+                assert np.array_equal(at, np.flatnonzero(want >= want.max() - slack))
+                assert np.array_equal(dists, want[at])
+                # one part per CPU, none below the floor, together every row
+                assert len(parts) == max(min(cpus, n // floor), 1)
+                assert sum(parts) == n
+                assert len(parts) == 1 or min(parts) >= floor
             monkeypatch.undo()
 
     @pytest.mark.parametrize("rule,k,sample,h", [

@@ -115,10 +115,11 @@ rows = rng.integers(0, 6, size=(400, 3))
 rows[:, 0] += 1
 units = unit_rows(rows)
 queries = unit_rows(np.abs(rng.standard_normal((300, 3))))
-got = density._nearest(units, queries)
+at, got = density._worst(units, queries, 0.05)
 from scipy.spatial import cKDTree
 want, _ = cKDTree(units).query(queries)
-print(np.array_equal(got, want))
+keep = np.flatnonzero(want >= want.max() - 0.05)
+print(len(keep) > 1 and np.array_equal(at, keep) and np.array_equal(got, want[keep]))
 """
 
 

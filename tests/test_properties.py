@@ -190,6 +190,65 @@ def test_split_trees_keep_chamber_radius():
         test_chamber_radius_matches_full_cloud()
 
 
+def worst_case(k, n, m, layout, seed):
+    """Unit rows and queries for the worst-distance kernel.
+
+    random: orthant directions.  cloud: every query is a row, so the
+    worst distance is 0.  planted: the worst query sits at index 1, off
+    the probe's stride once there are over 1,000 queries.  twice: the
+    queries repeated in reverse, so each has a twin in another slice.
+    far: three quarters of the rows sit on the last axis, at distance
+    sqrt(2) from every query, so the later parts are far from them all.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 6, size=(n, k))
+    rows[:, 0] += 1  # no zero row
+    queries = unit_rows(np.abs(rng.standard_normal((m, k))))
+    if layout == "cloud":
+        queries = unit_rows(rows[rng.integers(0, n, size=m)])
+    elif layout == "planted" and m > 1:
+        d = cKDTree(unit_rows(rows)).query(queries)[0]
+        queries[[1, np.argmax(d)]] = queries[[np.argmax(d), 1]]
+    elif layout == "twice":
+        queries = np.concatenate([queries, queries[::-1]])
+    elif layout == "far":
+        queries[:, -1] = 0
+        queries = unit_rows(queries)
+        rows[:, -1] = 0
+        axis = np.zeros((3 * n, k), dtype=rows.dtype)
+        axis[:, -1] = 1
+        rows = np.concatenate([rows, axis])
+    return unit_rows(rows), queries
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    n=st.integers(1, 40),
+    m=st.sampled_from([1, 5, 300, 1500]),
+    layout=st.sampled_from(["random", "cloud", "planted", "twice", "far"]),
+    seed=st.integers(0, 2**16),
+    cpus=st.integers(1, 4),
+    slack=st.sampled_from([0.0, density._TIE, 2.0]),
+)
+# each layout at least once, split into two to four trees
+@example(k=3, n=40, m=1500, layout="planted", seed=1, cpus=2, slack=0.0)
+@example(k=3, n=40, m=1500, layout="cloud", seed=2, cpus=3, slack=density._TIE)
+@example(k=2, n=9, m=300, layout="random", seed=3, cpus=4, slack=2.0)
+@example(k=4, n=31, m=300, layout="twice", seed=4, cpus=4, slack=0.0)
+@example(k=3, n=12, m=300, layout="far", seed=5, cpus=2, slack=density._TIE)
+def test_worst_matches_one_tree(k, n, m, layout, seed, cpus, slack):
+    # every query within slack of the one-tree worst distance, and no other,
+    # at its one-tree distance to the bit; slack 2 is above any distance
+    units, queries = worst_case(k, n, m, layout, seed)
+    want = cKDTree(units).query(queries)[0]
+    with mock.patch.object(density, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(density, "_PART_FLOOR", 1):
+        at, dists = density._worst(units, queries, slack)
+    assert np.array_equal(at, np.flatnonzero(want >= want.max() - slack))
+    assert np.array_equal(dists, want[at])
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
     rule=st.sampled_from(["naturals", "primes", "powers-of-2", "poly-2"]),
@@ -306,6 +365,13 @@ def test_sampled_radius_is_the_first_argmax_in_sphere_net_order(
     at = int(np.argmax(dists))
     assert rep.covering_radius == float(dists[at])
     assert rep.argmax_net_point == tuple(float(c) for c in full[at])
+
+
+def test_split_trees_keep_sampled_argmax():
+    # every sampled cloud of two or more rows split into up to three trees
+    with mock.patch.object(density, "_usable_cpus", lambda: 3), \
+            mock.patch.object(density, "_PART_FLOOR", 1):
+        test_sampled_radius_is_the_first_argmax_in_sphere_net_order()
 
 
 @st.composite
