@@ -19,13 +19,17 @@ net points are the C(d + k - 1, k - 1) nondecreasing integer vectors with
 last entry d, charged with the net; the whole net, which sampled clouds
 and the audit query, is their orbits under enumeration.orbit_rows, and
 its (d + 1)^k - d^k points are charged before it is built or a sampled
-cloud drawn.  The report names the first net point in sphere_net order
-(by the index of its first d, then by its other entries) at the radius;
-that order breaks ties and nothing else.  Permuted distances round along
-other coordinate orders, so the sorted points within _TIE of the worst are
-settled on their orbits against the expanded orbits of the rows near
-them, and both fields equal those of the expanded computation.  Net
-points take unit rows from their integer vectors, by exact squares.
+cloud drawn.  Permuted distances round along other coordinate orders, so
+the sorted points within _TIE of the worst are settled on their orbits
+against the expanded orbits of the rows near them, and both fields equal
+those of the expanded computation.  Net points take unit rows from their
+integer vectors, by exact squares.
+
+A sampled cloud hands its rows and the whole net, an exhaustive one the
+expanded near rows and tie orbits, to one worst-distance query.  The report
+names the first net point at the radius in sphere_net order (by the index
+of its first d, then by its other entries), read off the tied unit rows by
+rounding them to their integer vectors; that order breaks ties only.
 
 Every nearest-distance query goes through one kernel, which settles only
 the queries that can attain the worst distance.  The cloud's unit rows are
@@ -164,17 +168,16 @@ def covering_radius(cloud: DirectionCloud, net: SphereNet) -> DensityReport:
             f"cloud dimension {cloud.k} does not match net dimension {net.k}"
         )
     if cloud.sampled:
-        pts = unit_rows(net.whole())
-        at, dists = _worst(unit_rows(cloud.rows), pts, 0)
-        # the integer rows are rebuilt, not held through the trees, for memory
-        pts, index = pts[at], _net_index(net.whole()[at], net.denominator)
+        queries = unit_rows(net.whole())  # charged before the cloud's rows
+        units = unit_rows(cloud.rows)
     else:
-        dists, index, pts = _chamber_orbits(cloud.rows, net)
+        units, queries = _chamber_orbits(cloud.rows, net)
+    at, dists = _worst(units, queries, 0)
     # every point here is at the radius; the first in sphere_net order wins
-    at = np.argmin(index)
+    first = _first_in_net_order(queries[at], net.denominator)
     return DensityReport(
-        covering_radius=float(dists[at]),
-        argmax_net_point=tuple(float(c) for c in pts[at]),
+        covering_radius=float(dists[first]),
+        argmax_net_point=tuple(float(c) for c in queries[at[first]]),
         k=net.k,
         h=net.h,
         N=cloud.bound,
@@ -240,45 +243,35 @@ def _worst(
 
 
 # Distances this close may be one distance rounded along two coordinate
-# orders; _chamber_orbits settles such near-ties on expanded rows.
+# orders; _chamber_orbits leaves such near-ties to a query on expanded rows.
 _TIE = 1e-9
 
 
 def _chamber_orbits(
     rows: np.ndarray, net: SphereNet
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distances, _net_index values and unit rows of the net points at the
-    radius of an exhaustive cloud with these chamber rows, found among the
-    orbits of the sorted points within _TIE of the worst."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and net queries that settle the radius of an exhaustive
+    cloud with these chamber rows: the orbits of the rows near the sorted
+    points within _TIE of the worst, and the orbits of those points."""
     units = unit_rows(rows)
     ints, pts = net.chamber
     ties, dists = _worst(units, pts, _TIE)
     near = np.zeros(len(rows), dtype=bool)
     for i, dist in zip(ties, dists):
         near |= np.linalg.norm(units - pts[i], axis=1) <= dist + _TIE
-    orbit = orbit_rows(ints[ties])
-    queries = unit_rows(orbit)
-    at, got = _worst(unit_rows(orbit_rows(rows[near])), queries, 0)
-    return got, _net_index(orbit[at], net.denominator), queries[at]
+    return unit_rows(orbit_rows(rows[near])), unit_rows(orbit_rows(ints[ties]))
 
 
-def _net_index(v: np.ndarray, d: int) -> np.ndarray:
-    """Positions in sphere_net of the integer rows v, each with largest entry d.
+def _first_in_net_order(units: np.ndarray, d: int) -> int:
+    """Index of the first of these net unit rows in sphere_net order.
 
-    A row's block is the index of its first d, after d^j (d+1)^(k-1-j)
-    points per block j before it; inside the block its other entries are
-    mixed-radix digits, base d before the first d and d + 1 after it.
+    A row's integer vector is rint(u d / max(u)), exact while d is far below
+    2^50.  sphere_net orders by the index of the first d, then, inside that
+    block, by mixed-radix digits each below their radix: lexicographically.
+    The lexsort is stable, so the first of equal rows wins.
     """
-    n, k = v.shape
-    lead = np.argmax(v == d, axis=1)
-    # Python ints past int64, which only a raised budget can reach
-    dtype = np.int64 if (d + 1) ** k < 1 << 63 else object
-    v, pos = v.astype(dtype, copy=False), np.zeros(n, dtype=dtype)
-    for t in range(k):
-        radix = np.where(t < lead, d, d + 1).astype(dtype)
-        pos = np.where(t == lead, pos, pos * radix + v[:, t])
-    blocks = [0] + [d**j * (d + 1) ** (k - 1 - j) for j in range(k - 1)]
-    return np.cumsum(np.array(blocks, dtype=dtype))[lead] + pos
+    v = np.rint(units * d / units.max(axis=1, keepdims=True))
+    return int(np.lexsort((*v.T[::-1], v.argmax(axis=1)))[0])
 
 
 @dataclass(frozen=True)

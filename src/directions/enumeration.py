@@ -72,8 +72,12 @@ def check_budget(size: int | float, what: str) -> None:
     """The one budget gate: refuse ``size`` units of ``what`` over the cap."""
     cap = budget()
     if size > cap:
+        try:
+            shown = f"{size}"
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            shown = f"a {size.bit_length()}-bit number"
         raise ResourceError(
-            f"{what}: {size} exceeds the budget {cap}; "
+            f"{what}: {shown} exceeds the budget {cap}; "
             "raise DIRECTIONS_BUDGET to allow it"
         )
 

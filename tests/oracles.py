@@ -416,8 +416,8 @@ def meshgrid_net(k, d):
 
 def scalar_net_index(v, d):
     """Position of the integer vector v (largest entry d) in sphere_net, one
-    vector at a time, as ``density._net_index`` computed it before it took
-    arrays."""
+    vector at a time: the order ``density._first_in_net_order`` reads off
+    unit rows to break ties between worst net points."""
     k = len(v)
     lead = v.index(d)  # the block of v, after d^j (d+1)^(k-1-j) points each
     index = sum(d**j * (d + 1) ** (k - 1 - j) for j in range(lead))

@@ -291,6 +291,24 @@ class TestBadInput:
                 ),
                 2,
             ),
+            # sizes past Python's int-to-str digit limit: the message
+            # shows their bit length
+            (
+                ["enumerate", "--rule", "naturals", "--N", "100", "--k", "3000"],
+                None,
+                2,
+            ),
+            (
+                ["density", "--rule", "naturals", "--N", "5", "--k", "8000",
+                 "--h", "1"],
+                None,
+                2,
+            ),
+            (
+                ["net-audit", "--k", "8000", "--h", "1"],
+                None,
+                2,
+            ),
         ],
         ids=[
             "elements",
@@ -319,6 +337,9 @@ class TestBadInput:
             "sample-over-budget",
             "net-audit-samples-over-budget",
             "closure-over-budget",
+            "tuples-past-str-limit",
+            "sorted-net-past-str-limit",
+            "net-audit-past-str-limit",
         ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,6 +119,16 @@ class TestCoveringRadius:
         assert d["cloud_rule"] == "primes" and d["N"] == 50
         assert d["distinct"] is False and d["sampled"] is False
         assert 0 < d["covering_radius"] < 2
+
+    def test_sampled_radius_builds_the_whole_net_once(self):
+        net = sphere_net(3, 0.25)
+        cloud = directions(ground_set("primes", 30), 3, sample=500, seed=0)
+        whole = density.SphereNet.whole
+        with mock.patch.object(
+            density.SphereNet, "whole", autospec=True, side_effect=whole
+        ) as spy:
+            covering_radius(cloud, net)
+        assert spy.call_count == 1
 
     def test_rejects_empty_cloud(self):
         net = sphere_net(2, 0.1)

@@ -118,6 +118,9 @@ class TestBudgetGate:
             check_budget(11, "widgets")
         for part in ("widgets", "11", "10", "DIRECTIONS_BUDGET"):
             assert part in str(info.value)
+        # str() refuses an int past sys.get_int_max_str_digits() digits
+        with pytest.raises(ResourceError, match="a 16610-bit number exceeds"):
+            check_budget(10**5000, "widgets")
 
 
 class TestDirections:

@@ -376,7 +376,7 @@ def test_split_trees_keep_sampled_argmax():
 
 @st.composite
 def net_vectors(draw):
-    k, d = draw(st.integers(2, 6)), draw(st.integers(1, 30))
+    k, d = draw(st.integers(2, 6)), draw(st.integers(1, 10**9))
     row = st.lists(st.integers(0, d), min_size=k, max_size=k)
     rows = draw(st.lists(row, min_size=1, max_size=20))
     # every row holds d somewhere, possibly more than once
@@ -387,12 +387,15 @@ def net_vectors(draw):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(vectors=net_vectors())
-# (d + 1)^k past 2^63: the index leaves int64 for Python ints
-@example(vectors=([[20] * 16, [0] * 15 + [20], [19] * 15 + [20], [20] + [0] * 15], 20))
-def test_net_index_matches_scalar_formula(vectors):
+@example(vectors=([[10**8, 7, 0], [0, 10**8, 10**8 - 1], [0, 10**8, 10**8 - 2]], 10**8))
+@example(vectors=([[10**12, 1, 0], [10**12 - 1, 10**12, 5], [10**12 - 1, 10**12, 4]], 10**12))
+# the least row twice, not first: the first of the two wins
+@example(vectors=([[3, 5, 1], [0, 5, 5], [0, 5, 5], [5, 0, 0]], 5))
+def test_first_in_net_order_is_the_first_least_scalar_index(vectors):
     rows, d = vectors
-    got = density._net_index(np.array(rows), d).tolist()
-    assert got == [scalar_net_index(row, d) for row in rows]
+    index = [scalar_net_index(row, d) for row in rows]
+    got = density._first_in_net_order(unit_rows(np.array(rows)), d)
+    assert got == index.index(min(index))
 
 
 @pytest.mark.parametrize("shifts", [(0,), (62,), (600,), (1100,), (0, 600)])
