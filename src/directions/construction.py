@@ -14,13 +14,12 @@ steps blocks at most one t.  The union of all entries is the constructed
 ground set; scale separation between consecutive factorials is what makes
 its distinct-tuple directions accumulate exactly on the target set.
 
-Every step certifies, exactly:
+Every step certifies, exactly and in integers:
   - pairwise distinct entries,
   - a fresh leading-pair ratio,
-  - |c_i - m! y_i| <= k + m per coordinate (rational comparison),
-  - direction error at most 10 (k+m)/m! for m >= 4 (surd comparison; the
-    threshold drops below float resolution near m = 20, so this check
-    cannot run in floating point).
+  - 0 <= c_i - m! y_i <= k + m per coordinate (squares compared),
+  - direction error at most 10 (k+m)/m! for m >= 4, by a lemma that needs
+    no surd (``_check_step_certificates``), so no precision cap limits M.
 
 Floors of m! * y_i are computed with integer square roots, never floats:
 y_i is v_i / ||v|| with v_i = q sqrt(r), so (m! y_i)^2 is rational and
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, inf, prod, sqrt
@@ -62,14 +60,16 @@ class FactorialFloor:
     value: int
 
 
-@lru_cache(maxsize=1)  # the 2k calls of one step share m
+@lru_cache(maxsize=1)  # the calls of one step share m
 def _factorial_sq(m: int) -> int:
     return factorial(m) ** 2
 
 
-def _scaled_square(point: TargetPoint, i: int, m: int) -> Fraction:
-    """(m! * y_i)^2 as an exact rational, from the point's cached y_i^2."""
-    return _factorial_sq(m) * point.key()[i]
+def _scaled_square(point: TargetPoint, i: int, m: int) -> tuple[int, int]:
+    """(m! * y_i)^2 as an unreduced integer pair (num, den), from the
+    point's cached y_i^2; no Fraction is built or normalised."""
+    sq = point.key()[i]
+    return _factorial_sq(m) * sq.numerator, sq.denominator
 
 
 def factorial_floor(point: TargetPoint, i: int, m: int) -> FactorialFloor:
@@ -77,8 +77,7 @@ def factorial_floor(point: TargetPoint, i: int, m: int) -> FactorialFloor:
         raise DomainError("step index must be >= 1")
     if not 0 <= i < point.k:
         raise DomainError(f"coordinate {i} out of range")
-    sq = _scaled_square(point, i, m)
-    value = sqrt_floor(sq.numerator, sq.denominator)
+    value = sqrt_floor(*_scaled_square(point, i, m))
     return FactorialFloor(m=m, i=i, value=value)
 
 
@@ -104,28 +103,34 @@ class ConstructionState:
 def _check_step_certificates(
     point: TargetPoint, m: int, values: tuple[int, ...]
 ) -> float:
-    """Exact per-step certificates; returns the float direction error."""
+    """Exact per-step certificates in integers; returns the float error.
+
+    The error bound needs no surd.  Write f_i = floor(m! y_i) and
+    S = sum (c_i - f_i)^2.  The check m! y_i <= c_i gives
+    0 <= c_i - m! y_i <= c_i - f_i, so w = c/m! has |w - y| <= sqrt(S)/m!,
+    and for unit y, |w/|w| - y| <= ||w| - 1| + |w - y| <= 2|w - y|.  So
+    S <= 25 (k+m)^2 proves the error within 10(k+m)/m!.  The check
+    c_i - m! y_i <= k + m makes the integer c_i - f_i at most k + m, so S
+    passes for every k <= 25; beyond that the same comparison keeps the
+    same promise.
+    """
     k = len(values)
     if len(set(values)) != k:
         raise CertificateError(f"step {m}: entries not distinct")
     slack = k + m
+    spread = 0  # S
     for i, c in enumerate(values):
-        sq = _scaled_square(point, i, m)
+        num, den = _scaled_square(point, i, m)
         # c always exceeds m! y_i, by less than s_i + t <= k + m
-        if sq > Fraction(c * c):
+        if c < 0 or num > c * c * den:
             raise CertificateError(f"step {m}: floor overshot at {i}")
-        if c > slack and Fraction((c - slack) ** 2) > sq:
-            raise CertificateError(
-                f"step {m}: coordinate {i} drifted past (k+m)"
-            )
-    err_sq = point.distance_sq(TargetPoint.from_ints(*values))
-    if m >= 4:
-        bound = Fraction(10 * slack, factorial(m)) ** 2
-        if (SurdSum.rational(bound) - err_sq).sign() < 0:
-            raise CertificateError(
-                f"step {m}: direction error above 10(k+m)/m!"
-            )
-    val = err_sq.to_float(bits=256)
+        if c > slack and (c - slack) ** 2 * den > num:
+            raise CertificateError(f"step {m}: coordinate {i} drifted past (k+m)")
+        # f_i afresh: the certificate takes nothing from the step search
+        spread += (c - sqrt_floor(num, den)) ** 2
+    if m >= 4 and spread > 25 * slack * slack:
+        raise CertificateError(f"step {m}: direction error above 10(k+m)/m!")
+    val = point.distance_sq(TargetPoint.from_ints(*values)).to_float(bits=256)
     return sqrt(val) if val > 0 else 0.0
 
 
@@ -137,15 +142,8 @@ def construct_step(
     k = point.k
     floors = tuple(factorial_floor(point, i, m).value for i in range(k))
     pre: list[int] = []
-    offsets: list[int] = []
-    for i in range(k):
-        for s in range(1, k + 1):
-            if floors[i] + s not in pre:
-                pre.append(floors[i] + s)
-                offsets.append(s)
-                break
-        else:
-            raise AssertionError(f"step {m}: no offset for coordinate {i}")
+    for f in floors:  # the least free offset; at most k - 1 are taken
+        pre.append(min(set(range(f + 1, f + k + 1)).difference(pre)))
     for t in range(1, m + 1):
         lead = primitive((pre[0] + t, pre[1] + t))
         if lead not in state.ratio_registry:
@@ -155,17 +153,8 @@ def construct_step(
     values = tuple(v + t for v in pre)
     err = _check_step_certificates(point, m, values)
     state.ratio_registry.add(lead)
-    state.records.append(
-        StepRecord(
-            step=m,
-            target=point,
-            floors=floors,
-            offsets=tuple(offsets),
-            tie_break=t,
-            values=values,
-            direction_error=err,
-        )
-    )
+    offsets = tuple(v - f for v, f in zip(pre, floors))
+    state.records.append(StepRecord(m, point, floors, offsets, t, values, err))
     return values
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, cycle, islice, product
 from math import comb, factorial, gcd, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,7 +90,8 @@ class TargetPoint:
         k = self.k
         if len(order) != k or sorted(order) != list(range(k)):
             raise DomainError(f"{order!r} is not a permutation of 0..{k - 1}")
-        return TargetPoint(tuple(self.coords[j] for j in order))
+        squares = self.key()
+        return _seeded((self.coords[j] for j in order), (squares[j] for j in order))
 
     def restricted(self, keep: Sequence[int]) -> "TargetPoint":
         """Exact zero-out of every coordinate not in ``keep``."""
@@ -102,8 +103,11 @@ class TargetPoint:
                 f"index set {sorted(keep_set)} does not meet {self!r}"
             )
         zero = Surd.of(0)
-        return TargetPoint(
-            tuple(c if i in keep_set else zero for i, c in enumerate(self.coords))
+        kept = [sq if i in keep_set else Fraction(0) for i, sq in enumerate(self.key())]
+        total = sum(kept)  # y_i^2 / total is c_i^2 over the kept squared norm
+        return _seeded(
+            (c if i in keep_set else zero for i, c in enumerate(self.coords)),
+            (sq / total for sq in kept),
         )
 
     def dot(self, other: "TargetPoint") -> SurdSum:
@@ -129,6 +133,13 @@ class TargetPoint:
 
     def __repr__(self) -> str:
         return "TargetPoint(" + ", ".join(repr(c) for c in self.coords) + ")"
+
+
+def _seeded(coords: Iterable[Surd], squares: Iterable[Fraction]) -> TargetPoint:
+    """A point whose unit squares, known already, seed its cached key."""
+    point = TargetPoint(tuple(coords))
+    point.__dict__["_unit_squares"] = tuple(squares)
+    return point
 
 
 def canonical_order(points: Sequence[TargetPoint]) -> list[TargetPoint]:
@@ -216,8 +227,8 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
         for mask in range((1 << len(support)) - 1, 0, -1):
             dropped = {i for j, i in enumerate(support) if not mask >> j & 1}
             part = p.restricted([i for i in range(k) if i not in dropped])
-            values = list(dict.fromkeys(part.coords))
-            squares = [c.square() / part.norm_sq for c in values]
+            square_of = dict(zip(part.coords, part.key()))
+            values, squares = list(square_of), list(square_of.values())
             row = sorted(values.index(c) for c in part.coords)
             parts.append((values, squares, row))
             total += factorial(k) // prod(map(factorial, Counter(row).values()))
@@ -226,10 +237,8 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
             for order in orbit_rows(np.array([row])).tolist():
                 key = tuple(squares[i] for i in order)
                 if key not in seen:
-                    q = TargetPoint(tuple(values[i] for i in order))
                     # an arrangement's key is its restriction's, rearranged
-                    q.__dict__["_unit_squares"] = key
-                    seen[key] = q
+                    seen[key] = _seeded((values[i] for i in order), key)
     closed = canonical_order(seen.values())
     return TargetSpec(kind=FINITE, k=k, points=tuple(closed))
 

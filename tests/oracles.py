@@ -13,7 +13,8 @@ generation against search.  The surd printer and float evaluator that
 package's ``_sqrt_bounds``.  So is the ``np.linalg.norm`` body of
 ``unit_rows``, the ``%s`` body of ``enumeration._write_csv``, the
 scalar sphere-net index and the meshgrid sphere net, whose row order is
-sphere_net order.
+sphere_net order, and the surd comparison that certified a construction
+step's direction error before the integer lemma replaced it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.spatial import cKDTree
 from directions.core import SCALE_BITS
 from directions.enumeration import _ITER_ROWS
 from directions.errors import DomainError
-from directions.exact import _sqrt_bounds
+from directions.exact import SurdSum, _sqrt_bounds
 from directions.targets import FINITE, TargetPoint, TargetSpec, canonical_order
 
 
@@ -317,6 +318,16 @@ def mp_surd_sign(terms, bits):
         if abs(v) <= max(abs(p) for p in parts) * mpmath.ldexp(1, 8 - bits):
             return None
         return 1 if v > 0 else -1
+
+
+def surd_step_bound_holds(point, m, values):
+    """Whether step m's direction error is within 10(k+m)/m!, decided the
+    way the step certificate did before its integer lemma: the exact
+    squared chordal distance against the squared bound, by
+    ``SurdSum.sign``."""
+    err_sq = point.distance_sq(TargetPoint.from_ints(*values))
+    bound = Fraction(10 * (len(values) + m), math.factorial(m)) ** 2
+    return (SurdSum.rational(bound) - err_sq).sign() >= 0
 
 
 def cmp_points(a, b):

@@ -449,6 +449,16 @@ class TestReports:
         assert doc["verification"]["backward_violations"] == 0
         assert doc["verification"]["forward_hausdorff"] < 1e-3
 
+    def test_surd_spec_construction_passes_m1000(self, tmp_path, capsys):
+        # the step certificate once compared surds, and near M = 1000 that
+        # comparison needed more than its 16,384-bit cap and exited 1
+        spec = tmp_path / "spec.json"
+        row = [{"q": "1", "r": 1}, {"q": "2", "r": 3}, {"q": "0", "r": 1}]
+        spec.write_text(json.dumps({"k": 3, "generators": [row]}))
+        code, out, err = run(capsys, "construct", "--spec", str(spec), "--M", "1000")
+        assert code == 0, err
+        assert len(json.loads(out)["direction_errors"]) == 1000
+
     def test_chain_constructed(self, capsys):
         code, out, _ = run(
             capsys,

@@ -17,6 +17,7 @@ import directions
 
 from directions.construction import (
     ConstructionState,
+    _check_step_certificates,
     _scale_ratio,
     construct,
     construct_step,
@@ -26,7 +27,7 @@ from directions.construction import (
     verify_construction,
 )
 from directions.core import normalize, primitive
-from directions.errors import DomainError, ResourceError
+from directions.errors import CertificateError, DomainError, ResourceError
 from directions.targets import (
     FINITE,
     FULL_SPHERE,
@@ -37,7 +38,7 @@ from directions.targets import (
     dense_prefix,
 )
 
-from oracles import mp_floor_scaled
+from oracles import mp_floor_scaled, surd_step_bound_holds
 
 
 CLOSURE_12 = close_generators([TargetPoint.from_ints(1, 2)])
@@ -137,22 +138,53 @@ class TestConstructStep:
             for i in (0, 1):
                 assert 0 < v[i] - rec.floors[i] <= 2 + m
 
+    def test_direction_certificate_is_exact_at_its_bound(self):
+        # k = 40, m = 200: offsets c_i - f_i with S = 25 (k+m)^2 pass, and
+        # offsets with S one above that fail
+        wide = TargetPoint.from_ints(*[1] * 40)
+        f = factorial_floor(wide, 0, 200).value
+        at = [*range(169, 208), 238]
+        over = [109, *range(172, 210), 211]
+        bound = 25 * 240**2
+        assert sum(d * d for d in at) == bound == sum(d * d for d in over) - 1
+        _check_step_certificates(wide, 200, tuple(f + d for d in at))
+        with pytest.raises(CertificateError, match="above 10"):
+            _check_step_certificates(wide, 200, tuple(f + d for d in over))
+
     def test_certificates_survive_optimize(self):
         # python -O strips asserts; a certificate must still raise there
         script = textwrap.dedent(
             """
             import sys
-            from directions.construction import _check_step_certificates
+            from directions.construction import (
+                _check_step_certificates,
+                factorial_floor,
+            )
             from directions.errors import CertificateError
             from directions.targets import TargetPoint
 
             if not sys.flags.optimize:
                 sys.exit(2)
-            try:
-                _check_step_certificates(TargetPoint.from_ints(1, 2), 5, (7, 7))
-            except CertificateError:
-                sys.exit(0)
-            sys.exit(1)
+            y = TargetPoint.from_ints(1, 2)
+            wide = TargetPoint.from_ints(*[1] * 40)
+            # y's floors at step 5 are (53, 107); every coordinate of wide
+            # has one floor f at step 200
+            f = factorial_floor(wide, 0, 200).value
+            bad = [
+                (y, 5, (7, 7)),  # entries not distinct
+                (y, 5, (53, 110)),  # 53 < 5! y_0 = 53.67
+                (y, 5, (54, 115)),  # 115 - 5! y_1 = 7.67 > k + m = 7
+                # k = 40 > 25: offsets 201..240 stay within k + m = 240,
+                # but S = 201^2 + ... + 240^2 > 25 (k + m)^2
+                (wide, 200, tuple(f + 201 + i for i in range(40))),
+            ]
+            for point, m, values in bad:
+                try:
+                    _check_step_certificates(point, m, values)
+                except CertificateError as exc:
+                    print(exc)
+                else:
+                    sys.exit(1)
             """
         )
         src = str(Path(directions.__file__).resolve().parents[1])
@@ -163,6 +195,12 @@ class TestConstructStep:
             capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().splitlines() == [
+            "step 5: entries not distinct",
+            "step 5: floor overshot at 0",
+            "step 5: coordinate 1 drifted past (k+m)",
+            "step 200: direction error above 10(k+m)/m!",
+        ]
 
 
 class TestConstruct:
@@ -224,6 +262,20 @@ class TestConstruct:
         for m, e in enumerate(errs, start=1):
             if m >= 4:
                 assert e <= 10 * (2 + m) / math.factorial(m)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TargetSpec(kind=HYPERPLANE, k=3),
+            close_generators([TargetPoint.from_qr([(1, 1), (2, 3), (0, 1)])]),
+        ],
+        ids=["hyperplane-k3", "closure-1-2sqrt3-0"],
+    )
+    def test_integer_certificate_keeps_the_surd_bound(self, spec):
+        # every step the integer certificate passes, the surd comparison
+        # it replaced passes too
+        for rec in construct(spec, 60).steps[3:]:
+            assert surd_step_bound_holds(rec.target, rec.step, rec.values)
 
     def test_dump_jsonl(self, tmp_path):
         A = construct(CLOSURE_12, 3)

@@ -18,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from directions import density
+from directions.construction import construct
 from directions.core import scaled_floats
 from directions.density import covering_radius, sphere_net
 from directions.enumeration import (
@@ -641,6 +642,31 @@ def test_generated_closure_and_validation_match_search(gens, rnd):
     assert (rep.permutation_ok, rep.projection_ok, rep.passed) == (
         full_orbit_validation(kept)
     )
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(gen=st.integers(2, 4).flatmap(target_points), M=st.integers(1, 60))
+@example(gen=TargetPoint.from_qr([(1, 1), (2, 3), (0, 1)]), M=60)
+def test_step_errors_obey_the_integer_lemma(gen, M):
+    # the certificate's lemma: with S = sum (c_i - floor(m! y_i))^2, the
+    # true direction error is at most 2 sqrt(S)/m!, and S <= 25 (k+m)^2
+    # puts that within 10(k+m)/m!; errors near 1e-80 at m = 60 need the
+    # 400 digits
+    k = gen.k
+    with mpmath.workdps(400):
+        for rec in construct(close_generators([gen]), M).steps:
+            m = rec.step
+            v = [mpmath.mpf(x.q.numerator) / x.q.denominator * mpmath.sqrt(x.r)
+                 for x in rec.target.coords]
+            y = [t / mpmath.sqrt(mpmath.fsum(t * t for t in v)) for t in v]
+            c = [mpmath.mpf(e) for e in rec.values]
+            w = [t / mpmath.sqrt(mpmath.fsum(t * t for t in c)) for t in c]
+            err = mpmath.sqrt(mpmath.fsum((a - b) ** 2 for a, b in zip(w, y)))
+            f = [int(mpmath.floor(mpmath.factorial(m) * t)) for t in y]
+            assert tuple(f) == rec.floors
+            S = sum((e - fi) ** 2 for e, fi in zip(rec.values, f))
+            assert err <= 2 * mpmath.sqrt(S) / mpmath.factorial(m)
+            assert S <= 25 * (k + m) ** 2
 
 
 def proportional_points(k):

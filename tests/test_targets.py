@@ -74,6 +74,12 @@ class TestTargetPoint:
         q = p.restricted([0, 2])
         assert q.key() == TargetPoint.from_ints(3, 0, 5).key()
 
+    def test_maps_seed_the_keys_a_fresh_point_computes(self):
+        p = TargetPoint.from_qr([(1, 1), (1, 2), (Fraction(2, 3), 5)])
+        for q in (p.permuted([2, 0, 1]), p.restricted([0, 2])):
+            assert "_unit_squares" in vars(q)
+            assert q.key() == TargetPoint(q.coords).key()
+
     def test_restricted_needs_support(self):
         p = TargetPoint.from_ints(1, 0, 2)
         with pytest.raises(DomainError):
