@@ -14,12 +14,14 @@ steps blocks at most one t.  The union of all entries is the constructed
 ground set; scale separation between consecutive factorials is what makes
 its distinct-tuple directions accumulate exactly on the target set.
 
-Every step certifies, exactly and in integers:
+Every step certifies, exactly:
   - pairwise distinct entries,
   - a fresh leading-pair ratio,
   - 0 <= c_i - m! y_i <= k + m per coordinate (squares compared),
   - direction error at most 10 (k+m)/m! for m >= 4, by a lemma that needs
-    no surd (``_check_step_certificates``), so no precision cap limits M.
+    no surd (``_check_step_certificates``), so for k <= 25 no precision cap
+    limits M; for k > 25 a step the lemma does not settle falls back to the
+    exact surd comparison.
 
 Floors of m! * y_i are computed with integer square roots, never floats:
 y_i is v_i / ||v|| with v_i = q sqrt(r), so (m! y_i)^2 is rational and
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, inf, prod, sqrt
@@ -103,16 +106,17 @@ class ConstructionState:
 def _check_step_certificates(
     point: TargetPoint, m: int, values: tuple[int, ...]
 ) -> float:
-    """Exact per-step certificates in integers; returns the float error.
+    """Exact per-step certificates; returns the float direction error.
 
-    The error bound needs no surd.  Write f_i = floor(m! y_i) and
+    The error bound needs no surd for k <= 25.  Write f_i = floor(m! y_i) and
     S = sum (c_i - f_i)^2.  The check m! y_i <= c_i gives
     0 <= c_i - m! y_i <= c_i - f_i, so w = c/m! has |w - y| <= sqrt(S)/m!,
     and for unit y, |w/|w| - y| <= ||w| - 1| + |w - y| <= 2|w - y|.  So
     S <= 25 (k+m)^2 proves the error within 10(k+m)/m!.  The check
     c_i - m! y_i <= k + m makes the integer c_i - f_i at most k + m, so S
-    passes for every k <= 25; beyond that the same comparison keeps the
-    same promise.
+    passes for every k <= 25.  A step with S past 25 (k+m)^2 (possible
+    only for k > 25) is decided by the exact surd comparison, unless
+    m! <= 5(k+m), where the bound is at least 2, above any chordal distance.
     """
     k = len(values)
     if len(set(values)) != k:
@@ -128,9 +132,14 @@ def _check_step_certificates(
             raise CertificateError(f"step {m}: coordinate {i} drifted past (k+m)")
         # f_i afresh: the certificate takes nothing from the step search
         spread += (c - sqrt_floor(num, den)) ** 2
-    if m >= 4 and spread > 25 * slack * slack:
-        raise CertificateError(f"step {m}: direction error above 10(k+m)/m!")
-    val = point.distance_sq(TargetPoint.from_ints(*values)).to_float(bits=256)
+    err_sq = point.distance_sq(TargetPoint.from_ints(*values))
+    if m >= 4 and spread > 25 * slack * slack and factorial(m) > 5 * slack:
+        bound = Fraction(100 * slack * slack, _factorial_sq(m))
+        if (SurdSum.rational(bound) - err_sq).sign() < 0:
+            raise CertificateError(
+                f"step {m}: direction error above 10(k+m)/m!"
+            )
+    val = err_sq.to_float(bits=256)
     return sqrt(val) if val > 0 else 0.0
 
 
@@ -142,8 +151,15 @@ def construct_step(
     k = point.k
     floors = tuple(factorial_floor(point, i, m).value for i in range(k))
     pre: list[int] = []
-    for f in floors:  # the least free offset; at most k - 1 are taken
-        pre.append(min(set(range(f + 1, f + k + 1)).difference(pre)))
+    offsets: list[int] = []
+    for i in range(k):
+        for s in range(1, k + 1):
+            if floors[i] + s not in pre:
+                pre.append(floors[i] + s)
+                offsets.append(s)
+                break
+        else:
+            raise AssertionError(f"step {m}: no offset for coordinate {i}")
     for t in range(1, m + 1):
         lead = primitive((pre[0] + t, pre[1] + t))
         if lead not in state.ratio_registry:
@@ -153,8 +169,17 @@ def construct_step(
     values = tuple(v + t for v in pre)
     err = _check_step_certificates(point, m, values)
     state.ratio_registry.add(lead)
-    offsets = tuple(v - f for v, f in zip(pre, floors))
-    state.records.append(StepRecord(m, point, floors, offsets, t, values, err))
+    state.records.append(
+        StepRecord(
+            step=m,
+            target=point,
+            floors=floors,
+            offsets=tuple(offsets),
+            tie_break=t,
+            values=values,
+            direction_error=err,
+        )
+    )
     return values
 
 

@@ -322,8 +322,8 @@ def mp_surd_sign(terms, bits):
 
 def surd_step_bound_holds(point, m, values):
     """Whether step m's direction error is within 10(k+m)/m!, decided the
-    way the step certificate did before its integer lemma: the exact
-    squared chordal distance against the squared bound, by
+    way the step certificate did on every step before its integer lemma:
+    the exact squared chordal distance against the squared bound, by
     ``SurdSum.sign``."""
     err_sq = point.distance_sq(TargetPoint.from_ints(*values))
     bound = Fraction(10 * (len(values) + m), math.factorial(m)) ** 2

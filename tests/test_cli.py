@@ -459,6 +459,17 @@ class TestReports:
         assert code == 0, err
         assert len(json.loads(out)["direction_errors"]) == 1000
 
+    @pytest.mark.parametrize("k, M", [(76, 4), (100, 6)])
+    def test_wide_full_sphere_construction_passes(self, k, M, capsys):
+        # past k = 25 the integer lemma can fail on a valid step; the surd
+        # comparison must then decide, as it always did
+        code, out, err = run(
+            capsys, "construct", "--builtin", "orthant-sphere-full",
+            "--k", str(k), "--M", str(M),
+        )
+        assert code == 0, err
+        assert len(json.loads(out)["direction_errors"]) == M
+
     def test_chain_constructed(self, capsys):
         code, out, _ = run(
             capsys,

@@ -10,6 +10,7 @@ import textwrap
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -28,6 +29,7 @@ from directions.construction import (
 )
 from directions.core import normalize, primitive
 from directions.errors import CertificateError, DomainError, ResourceError
+from directions.exact import SurdSum
 from directions.targets import (
     FINITE,
     FULL_SPHERE,
@@ -138,45 +140,66 @@ class TestConstructStep:
             for i in (0, 1):
                 assert 0 < v[i] - rec.floors[i] <= 2 + m
 
-    def test_direction_certificate_is_exact_at_its_bound(self):
-        # k = 40, m = 200: offsets c_i - f_i with S = 25 (k+m)^2 pass, and
-        # offsets with S one above that fail
+    def test_direction_certificate_past_the_lemma_is_the_surd_bound(self):
+        # k = 40, m = 200: S = 25 (k+m)^2 is settled in integers; past it
+        # the surd comparison decides, and accepts what it always accepted
         wide = TargetPoint.from_ints(*[1] * 40)
         f = factorial_floor(wide, 0, 200).value
         at = [*range(169, 208), 238]
         over = [109, *range(172, 210), 211]
+        far = range(201, 241)
         bound = 25 * 240**2
         assert sum(d * d for d in at) == bound == sum(d * d for d in over) - 1
-        _check_step_certificates(wide, 200, tuple(f + d for d in at))
+        for offsets, signs in [(at, 0), (over, 1), (far, 1)]:
+            values = tuple(f + d for d in offsets)
+            with mock.patch.object(
+                SurdSum, "sign", autospec=True, side_effect=SurdSum.sign
+            ) as sign:
+                _check_step_certificates(wide, 200, values)
+            assert sign.call_count == signs
+            assert surd_step_bound_holds(wide, 200, values)
+
+    def test_direction_certificate_refuses_what_the_surd_bound_refuses(self):
+        # k = 300, m = 8, target e_0: the zero coordinates' entries 10..308
+        # stay within k + m, but their spread puts the true error near
+        # 0.09 > 10 (k+m)/m! = 0.076
+        e0 = TargetPoint.from_ints(1, *[0] * 299)
+        values = (math.factorial(8) + 1, *range(10, 309))
+        assert not surd_step_bound_holds(e0, 8, values)
         with pytest.raises(CertificateError, match="above 10"):
-            _check_step_certificates(wide, 200, tuple(f + d for d in over))
+            _check_step_certificates(e0, 8, values)
+
+    def test_direction_bound_of_two_or_more_needs_no_surd(self):
+        # m! <= 5 (k+m) puts the bound at 2 or more, above any chordal
+        # distance: the step passes without a surd comparison
+        e0 = TargetPoint.from_ints(1, *[0] * 75)
+        values = (25, *range(5, 25), *range(26, 81))
+        floors = (24, *[0] * 75)
+        assert sum((c - f) ** 2 for c, f in zip(values, floors)) > 25 * 80**2
+        with mock.patch.object(SurdSum, "sign", side_effect=AssertionError):
+            _check_step_certificates(e0, 4, values)
 
     def test_certificates_survive_optimize(self):
         # python -O strips asserts; a certificate must still raise there
         script = textwrap.dedent(
             """
             import sys
-            from directions.construction import (
-                _check_step_certificates,
-                factorial_floor,
-            )
+            from directions.construction import _check_step_certificates
             from directions.errors import CertificateError
             from directions.targets import TargetPoint
 
             if not sys.flags.optimize:
                 sys.exit(2)
             y = TargetPoint.from_ints(1, 2)
-            wide = TargetPoint.from_ints(*[1] * 40)
-            # y's floors at step 5 are (53, 107); every coordinate of wide
-            # has one floor f at step 200
-            f = factorial_floor(wide, 0, 200).value
+            e0 = TargetPoint.from_ints(1, *[0] * 299)
+            # y's floors at step 5 are (53, 107)
             bad = [
                 (y, 5, (7, 7)),  # entries not distinct
                 (y, 5, (53, 110)),  # 53 < 5! y_0 = 53.67
                 (y, 5, (54, 115)),  # 115 - 5! y_1 = 7.67 > k + m = 7
-                # k = 40 > 25: offsets 201..240 stay within k + m = 240,
-                # but S = 201^2 + ... + 240^2 > 25 (k + m)^2
-                (wide, 200, tuple(f + 201 + i for i in range(40))),
+                # k = 300 > 25: entries 10..308 stay within k + m = 308,
+                # but S > 25 (k + m)^2 and the true error is above the bound
+                (e0, 8, (40321, *range(10, 309))),
             ]
             for point, m, values in bad:
                 try:
@@ -199,7 +222,7 @@ class TestConstructStep:
             "step 5: entries not distinct",
             "step 5: floor overshot at 0",
             "step 5: coordinate 1 drifted past (k+m)",
-            "step 200: direction error above 10(k+m)/m!",
+            "step 8: direction error above 10(k+m)/m!",
         ]
 
 
@@ -272,9 +295,11 @@ class TestConstruct:
         ids=["hyperplane-k3", "closure-1-2sqrt3-0"],
     )
     def test_integer_certificate_keeps_the_surd_bound(self, spec):
-        # every step the integer certificate passes, the surd comparison
-        # it replaced passes too
-        for rec in construct(spec, 60).steps[3:]:
+        # no step at k <= 25 compares surds, and every step the integer
+        # certificate passes, the surd comparison passes too
+        with mock.patch.object(SurdSum, "sign", side_effect=AssertionError):
+            A = construct(spec, 60)
+        for rec in A.steps[3:]:
             assert surd_step_bound_holds(rec.target, rec.step, rec.values)
 
     def test_dump_jsonl(self, tmp_path):
