@@ -19,8 +19,8 @@ Every step certifies, exactly:
   - a fresh leading-pair ratio,
   - 0 <= c_i - m! y_i <= k + m per coordinate (squares compared),
   - direction error at most 10 (k+m)/m! for m >= 4, by a lemma that needs
-    no surd (``_check_step_certificates``), so for k <= 25 no precision cap
-    limits M; for k > 25 a step the lemma does not settle falls back to the
+    no surd (``_check_step_certificates``), so for k <= 100 no precision cap
+    limits M; for k > 100 a step the lemma does not settle falls back to the
     exact surd comparison.
 
 Floors of m! * y_i are computed with integer square roots, never floats:
@@ -108,15 +108,15 @@ def _check_step_certificates(
 ) -> float:
     """Exact per-step certificates; returns the float direction error.
 
-    The error bound needs no surd for k <= 25.  Write f_i = floor(m! y_i) and
-    S = sum (c_i - f_i)^2.  The check m! y_i <= c_i gives
-    0 <= c_i - m! y_i <= c_i - f_i, so w = c/m! has |w - y| <= sqrt(S)/m!,
-    and for unit y, |w/|w| - y| <= ||w| - 1| + |w - y| <= 2|w - y|.  So
-    S <= 25 (k+m)^2 proves the error within 10(k+m)/m!.  The check
-    c_i - m! y_i <= k + m makes the integer c_i - f_i at most k + m, so S
-    passes for every k <= 25.  A step with S past 25 (k+m)^2 (possible
-    only for k > 25) is decided by the exact surd comparison, unless
-    m! <= 5(k+m), where the bound is at least 2, above any chordal distance.
+    The error bound needs no surd for k <= 100.  With f_i = floor(m! y_i),
+    S = sum (c_i - f_i)^2 and the check m! y_i <= c_i, d = c - m! y >= 0
+    has |d| <= sqrt(S).  w = c/m! = y + d/m! has w.y >= 1 for unit y >= 0,
+    so its angle a to y has tan a <= |d|/m!, and the chordal error
+    2 sin(a/2) <= tan a is at most sqrt(S)/m!: S <= 100 (k+m)^2 proves it
+    within 10(k+m)/m!.  The check c_i - m! y_i <= k + m puts c_i - f_i at
+    most k + m, so S passes for every k <= 100.  A step past it (k > 100)
+    is decided by the exact surd comparison, unless m! <= 5(k+m), where
+    the bound is at least 2, above any chordal distance.
     """
     k = len(values)
     if len(set(values)) != k:
@@ -133,7 +133,7 @@ def _check_step_certificates(
         # f_i afresh: the certificate takes nothing from the step search
         spread += (c - sqrt_floor(num, den)) ** 2
     err_sq = point.distance_sq(TargetPoint.from_ints(*values))
-    if m >= 4 and spread > 25 * slack * slack and factorial(m) > 5 * slack:
+    if m >= 4 and spread > 100 * slack * slack and factorial(m) > 5 * slack:
         bound = Fraction(100 * slack * slack, _factorial_sq(m))
         if (SurdSum.rational(bound) - err_sq).sign() < 0:
             raise CertificateError(
@@ -150,16 +150,13 @@ def construct_step(
     m = len(state.records) + 1
     k = point.k
     floors = tuple(factorial_floor(point, i, m).value for i in range(k))
-    pre: list[int] = []
+    taken: set[int] = set()
     offsets: list[int] = []
-    for i in range(k):
-        for s in range(1, k + 1):
-            if floors[i] + s not in pre:
-                pre.append(floors[i] + s)
-                offsets.append(s)
-                break
-        else:
-            raise AssertionError(f"step {m}: no offset for coordinate {i}")
+    for f in floors:
+        # at most k - 1 entries are taken, so one of k offsets is free
+        offsets.append(next(s for s in range(1, k + 1) if f + s not in taken))
+        taken.add(f + offsets[-1])
+    pre = [f + s for f, s in zip(floors, offsets)]
     for t in range(1, m + 1):
         lead = primitive((pre[0] + t, pre[1] + t))
         if lead not in state.ratio_registry:

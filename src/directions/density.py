@@ -124,6 +124,8 @@ def sphere_net(k: int, h: float) -> SphereNet:
     # the net has more than d = ceil(k/h) points, and k/h may be inf
     check_budget(k / h, f"net points at h={h} (more than k/h)")
     d = ceil(k / h)
+    # d >= k makes C(d + k - 1, k - 1) >= 2^(k - 1): refuse a huge k cheaply
+    check_budget(1 << k - 1, f"sorted net points at h={h} (at least 2^{k - 1})")
     check_budget(comb(d + k - 1, k - 1), f"sorted net points at h={h}")
     return SphereNet(k=k, h=float(h), denominator=d)
 

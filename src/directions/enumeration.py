@@ -18,9 +18,9 @@ An exhaustive cloud is closed under coordinate permutations, so it keeps
 only its sorted chamber, the rows with nondecreasing entries: nondecreasing
 index tuples (strictly increasing in distinct mode) over the sorted
 elements, reduced by their gcd, which keeps them sorted.  ``count`` sums
-the orbit sizes k!/prod(m!) over the entries' multiplicities m, and
-iteration, CSV export and ``unit_points`` see every row through one
-expansion, ``orbit_rows``, which builds each distinct arrangement once.
+the rows' exact orbit sizes k!/prod(m!) (``orbit_sizes``), and iteration,
+CSV export and ``unit_points`` see every row through one expansion,
+``orbit_rows``, which builds each distinct arrangement once.
 Dedupe and expansion share one row sort: one ``np.sort`` of packed int64 keys
 for nonnegative int64 rows with k * bit_length(max) <= 63, else ``lexsort``.
 One writer formats every CSV: small nonnegative int64 entries from tables of
@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -181,13 +181,7 @@ class DirectionCloud:
     def count(self) -> int:
         if self.sampled:
             return len(self.rows)
-        # orbit: arrangements of a row's first t + 1 entries, a multinomial
-        # that grows by (t + 1) / run, run the new entry's place among equals
-        run = orbit = 1
-        for t in range(1, self.k):
-            run = np.where(self.rows[:, t] == self.rows[:, t - 1], run + 1, 1)
-            orbit = orbit * (t + 1) // run
-        return int(np.sum(orbit))
+        return int(np.sum(orbit_sizes(self.rows)))
 
     @property
     def is_empty(self) -> bool:
@@ -233,6 +227,20 @@ def orbit_rows(rows: np.ndarray) -> np.ndarray:
     out = np.column_stack(placed + rest)
     del placed, rest  # no column held during the sort
     return _sort_rows(out, unique=False)
+
+
+def orbit_sizes(rows: np.ndarray) -> np.ndarray:
+    """Each sorted row's arrangement count k!/prod(m!), m its entries'
+    multiplicities: int64 while k! times the row count is below 2^63, so no
+    count or sum of counts overflows, else Python ints."""
+    n, k = rows.shape
+    # arrangements of a row's first t + 1 entries, a multinomial that grows
+    # by (t + 1) / run, run the new entry's place among equals
+    run = orbit = 1 if factorial(k) * n < 1 << 63 else np.ones(n, object)
+    for t in range(1, k):
+        run = np.where(rows[:, t] == rows[:, t - 1], run + 1, 1)
+        orbit = orbit * (t + 1) // run
+    return orbit
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -387,6 +395,8 @@ def directions(
             raise DomainError(
                 f"distinct-entry tuples need |A| >= k, got |A|={n}, k={k}"
             )
+        if n > 1:  # n^k >= 2^k, which refuses a huge k before n^k is built
+            check_budget(1 << k, f"{n}^{k} tuples (at least 2^{k}; or pass a sample)")
         check_budget(n**k, f"{n}^{k} tuples (or pass a sample size)")
     elif sample < 1:
         raise DomainError("sample size must be >= 1")

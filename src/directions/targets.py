@@ -7,8 +7,8 @@ sphere and the union of coordinate hyperplanes).
 Admissibility of a finite set means: closed under coordinate permutations
 and closed under zero-out-and-renormalize for every index set that meets the
 point.  ``close_generators`` produces the smallest admissible superset of
-its input; ``validate_target`` checks the conditions exactly and returns
-witnesses for any failure.
+its input; ``validate_target`` checks the conditions exactly on keys (unit
+squares y_i^2) alone and returns witnesses for any failure.
 
 Each target kind has one deterministic sequence of points dense in the
 target set.  Construction consumes its first M points, ``dense_prefix``,
@@ -19,18 +19,17 @@ between releases; ``enumerate_dense`` returns one point of it.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, cycle, islice, product
-from math import comb, factorial, gcd, prod
+from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .core import FloatVec, normalize
-from .enumeration import check_budget, orbit_rows
+from .enumeration import check_budget, orbit_rows, orbit_sizes
 from .errors import DomainError
 from .exact import Surd, SurdSum
 
@@ -86,13 +85,6 @@ class TargetPoint:
     def unit(self) -> FloatVec:
         return normalize(tuple(c.to_float() for c in self.coords))
 
-    def permuted(self, order: Sequence[int]) -> "TargetPoint":
-        k = self.k
-        if len(order) != k or sorted(order) != list(range(k)):
-            raise DomainError(f"{order!r} is not a permutation of 0..{k - 1}")
-        squares = self.key()
-        return _seeded((self.coords[j] for j in order), (squares[j] for j in order))
-
     def restricted(self, keep: Sequence[int]) -> "TargetPoint":
         """Exact zero-out of every coordinate not in ``keep``."""
         keep_set = set(keep)
@@ -110,25 +102,22 @@ class TargetPoint:
             (sq / total for sq in kept),
         )
 
-    def dot(self, other: "TargetPoint") -> SurdSum:
-        if other.k != self.k:
-            raise DomainError("dimension mismatch")
-        total = SurdSum()
-        for a, b in zip(self.coords, other.coords):
-            total = total + SurdSum.from_surd(a * b)
-        return total
-
     def distance_sq(self, other: "TargetPoint") -> SurdSum:
         """Exact squared chordal distance between the two unit directions.
 
         ||u/|u| - v/|v|||^2 = 2 - 2 (u.v) / sqrt(|u|^2 |v|^2).
         """
+        if other.k != self.k:
+            raise DomainError("dimension mismatch")
+        dot = SurdSum()
+        for a, b in zip(self.coords, other.coords):
+            dot = dot + SurdSum.from_surd(a * b)
         prod = self.norm_sq * other.norm_sq
         # 2/sqrt(P/Q) = (2/P)*sqrt(P*Q)
         twice_inv_norm = Surd.of(Fraction(2, prod.numerator)) * Surd.of(
             1, prod.numerator * prod.denominator
         )
-        twice_cos = self.dot(other) * SurdSum.from_surd(twice_inv_norm)
+        twice_cos = dot * SurdSum.from_surd(twice_inv_norm)
         return SurdSum.rational(2) - twice_cos
 
     def __repr__(self) -> str:
@@ -179,25 +168,26 @@ class ValidityReport:
 
 
 def _orbit(
-    point: TargetPoint,
-) -> Iterator[tuple[TargetPoint, str, tuple[int, ...]]]:
-    """Images of point under the maps that generate both symmetries.
+    key: tuple[Fraction, ...],
+) -> Iterator[tuple[tuple[Fraction, ...], str, tuple[int, ...]]]:
+    """Keys of a point's images under the maps that generate both symmetries.
 
     The k - 1 adjacent transpositions generate every permutation.  Zeroing
     one coordinate at a time reaches every restriction to an index set that
     meets the point, and each step leaves a nonzero point.  So a finite set
-    that holds these images of its points is closed under both.  Each image
-    comes with the kind of map and its indices, which name it in a
-    validation witness.
+    that holds these images of its points is closed under both.  On a key a
+    transposition swaps two entries, and zeroing y_i sets entry i to 0 and
+    divides the others by their sum 1 - y_i^2.  Each image comes with the
+    kind of map and its indices, which name it in a validation witness.
     """
-    k = point.k
+    k = len(key)
     for i in range(k - 1):
         order = (*range(i), i + 1, i, *range(i + 2, k))
-        yield point.permuted(order), "permutation", order
-    for i in range(k):
-        members = tuple(j for j in range(k) if j != i)
-        if any(not point.coords[j].is_zero() for j in members):
-            yield point.restricted(members), "projection onto", members
+        yield tuple(key[j] for j in order), "permutation", order
+    for i, rest in enumerate(1 - sq for sq in key):
+        if rest:  # the point meets the other coordinates
+            image = tuple(0 if j == i else sq / rest for j, sq in enumerate(key))
+            yield image, "projection onto", (*range(i), *range(i + 1, k))
 
 
 def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
@@ -211,7 +201,7 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
 
     Each generator's arrangements are charged to the budget before any is
     built: first C(s+k, k) - 1 for support size s, a lower bound that also
-    caps the mask walk, then the exact sum of k!/prod(mult!).
+    caps the mask walk, then their exact number, ``orbit_sizes``.
     """
     if not points:
         raise DomainError("need at least one generator")
@@ -231,7 +221,7 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
             values, squares = list(square_of), list(square_of.values())
             row = sorted(values.index(c) for c in part.coords)
             parts.append((values, squares, row))
-            total += factorial(k) // prod(map(factorial, Counter(row).values()))
+        total += int(np.sum(orbit_sizes(np.array([row for _, _, row in parts]))))
         check_budget(total, "closure arrangements")
         for values, squares, row in parts:
             for order in orbit_rows(np.array([row])).tolist():
@@ -251,8 +241,8 @@ def validate_target(spec: TargetSpec) -> ValidityReport:
     witnesses: list[tuple[TargetPoint, str]] = []
     failed: set[str] = set()
     for p in spec.points:
-        for q, kind, indices in _orbit(p):
-            if q.key() not in keys:
+        for image, kind, indices in _orbit(p.key()):
+            if image not in keys:
                 failed.add(kind)
                 witnesses.append((p, f"missing {kind} {indices}"))
     return ValidityReport(

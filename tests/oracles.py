@@ -7,10 +7,11 @@ high-precision floors via mpmath.  Expected values frozen into the
 test modules were produced by these oracles.  The searches the target
 layer replaced (level-sorted dense sequence, work-list closure, full-orbit
 validation, mask-by-permutation closure) are kept as written; the last
-three apply the package's own TargetPoint maps and keys, so they pin
-generation against search.  The surd printer and float evaluator that
-``exact`` replaced are kept as written too; the evaluator reads the
-package's ``_sqrt_bounds``.  So is the ``np.linalg.norm`` body of
+three apply the package's own restriction map and keys, and permute
+coordinates with their own helper, so they pin generation against
+search.  The surd printer and float evaluator that ``exact`` replaced
+are kept as written too; the evaluator reads the package's
+``_sqrt_bounds``.  So is the ``np.linalg.norm`` body of
 ``unit_rows``, the ``%s`` body of ``enumeration._write_csv``, the
 scalar sphere-net index and the meshgrid sphere net, whose row order is
 sphere_net order, and the surd comparison that certified a construction
@@ -170,10 +171,15 @@ def meeting_index_sets(point):
             yield members
 
 
+def permuted(point, order):
+    """point with entry j taken from coordinate order[j]."""
+    return TargetPoint(tuple(point.coords[j] for j in order))
+
+
 def full_orbit(point):
     """Images of point under every permutation, then every restriction."""
     for order in itertools.permutations(range(point.k)):
-        yield point.permuted(order), "permutation", order
+        yield permuted(point, order), "permutation", order
     for members in meeting_index_sets(point):
         yield point.restricted(members), "projection onto", members
 
@@ -235,7 +241,7 @@ def mask_permutation_closure(points: Sequence[TargetPoint]) -> TargetSpec:
                 continue
             part = p.restricted(members)
             for order in permutations(range(k)):
-                q = part.permuted(order)
+                q = permuted(part, order)
                 seen.setdefault(q.key(), q)
     closed = canonical_order(seen.values())
     return TargetSpec(kind=FINITE, k=k, points=tuple(closed))

@@ -459,10 +459,11 @@ class TestReports:
         assert code == 0, err
         assert len(json.loads(out)["direction_errors"]) == 1000
 
-    @pytest.mark.parametrize("k, M", [(76, 4), (100, 6)])
+    @pytest.mark.parametrize("k, M", [(76, 4), (100, 6), (300, 8), (1000, 1)])
     def test_wide_full_sphere_construction_passes(self, k, M, capsys):
-        # past k = 25 the integer lemma can fail on a valid step; the surd
-        # comparison must then decide, as it always did
+        # past k = 100 the integer lemma can fail on a valid step; the surd
+        # comparison must then decide, as it always did (k = 300 reaches it
+        # at step 8); k = 1000 takes the offset search through 1000 entries
         code, out, err = run(
             capsys, "construct", "--builtin", "orthant-sphere-full",
             "--k", str(k), "--M", str(M),

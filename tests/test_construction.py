@@ -141,23 +141,24 @@ class TestConstructStep:
                 assert 0 < v[i] - rec.floors[i] <= 2 + m
 
     def test_direction_certificate_past_the_lemma_is_the_surd_bound(self):
-        # k = 40, m = 200: S = 25 (k+m)^2 is settled in integers; past it
+        # k = 300, m = 20: S = 100 (k+m)^2 is settled in integers; past it
         # the surd comparison decides, and accepts what it always accepted
-        wide = TargetPoint.from_ints(*[1] * 40)
-        f = factorial_floor(wide, 0, 200).value
-        at = [*range(169, 208), 238]
-        over = [109, *range(172, 210), 211]
-        far = range(201, 241)
-        bound = 25 * 240**2
+        wide = TargetPoint.from_ints(*[1] * 300)
+        f = factorial_floor(wide, 0, 20).value
+        at = [7, 9, *range(15, 172), *range(173, 314)]
+        over = [*range(6, 60), *range(68, 313), 316]
+        far = range(21, 321)
+        bound = 100 * 320**2
+        assert len(at) == len(over) == 300
         assert sum(d * d for d in at) == bound == sum(d * d for d in over) - 1
         for offsets, signs in [(at, 0), (over, 1), (far, 1)]:
             values = tuple(f + d for d in offsets)
             with mock.patch.object(
                 SurdSum, "sign", autospec=True, side_effect=SurdSum.sign
             ) as sign:
-                _check_step_certificates(wide, 200, values)
+                _check_step_certificates(wide, 20, values)
             assert sign.call_count == signs
-            assert surd_step_bound_holds(wide, 200, values)
+            assert surd_step_bound_holds(wide, 20, values)
 
     def test_direction_certificate_refuses_what_the_surd_bound_refuses(self):
         # k = 300, m = 8, target e_0: the zero coordinates' entries 10..308
@@ -172,10 +173,10 @@ class TestConstructStep:
     def test_direction_bound_of_two_or_more_needs_no_surd(self):
         # m! <= 5 (k+m) puts the bound at 2 or more, above any chordal
         # distance: the step passes without a surd comparison
-        e0 = TargetPoint.from_ints(1, *[0] * 75)
-        values = (25, *range(5, 25), *range(26, 81))
-        floors = (24, *[0] * 75)
-        assert sum((c - f) ** 2 for c, f in zip(values, floors)) > 25 * 80**2
+        e0 = TargetPoint.from_ints(1, *[0] * 299)
+        values = (25, *range(5, 25), *range(26, 305))
+        floors = (24, *[0] * 299)
+        assert sum((c - f) ** 2 for c, f in zip(values, floors)) > 100 * 304**2
         with mock.patch.object(SurdSum, "sign", side_effect=AssertionError):
             _check_step_certificates(e0, 4, values)
 
@@ -197,8 +198,8 @@ class TestConstructStep:
                 (y, 5, (7, 7)),  # entries not distinct
                 (y, 5, (53, 110)),  # 53 < 5! y_0 = 53.67
                 (y, 5, (54, 115)),  # 115 - 5! y_1 = 7.67 > k + m = 7
-                # k = 300 > 25: entries 10..308 stay within k + m = 308,
-                # but S > 25 (k + m)^2 and the true error is above the bound
+                # k = 300 > 100: entries 10..308 stay within k + m = 308,
+                # but S > 100 (k + m)^2 and the true error is above the bound
                 (e0, 8, (40321, *range(10, 309))),
             ]
             for point, m, values in bad:

@@ -70,6 +70,14 @@ class TestSphereNet:
         with pytest.raises(ResourceError):
             sphere_net(6, 0.001)
 
+    def test_huge_k_refused_before_the_binomial(self, monkeypatch):
+        # 2^(k-1) <= C(d + k - 1, k - 1) is charged first, so a million
+        # dimensions never reach the binomial
+        monkeypatch.delenv("DIRECTIONS_BUDGET", raising=False)
+        with mock.patch.object(density, "comb", side_effect=AssertionError):
+            with pytest.raises(ResourceError):
+                sphere_net(10**6, 1.0)
+
     def test_rejects_bad_mesh(self):
         with pytest.raises(DomainError):
             sphere_net(2, 0.0)

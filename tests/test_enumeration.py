@@ -3,6 +3,7 @@
 import ast
 import csv
 import io
+import math
 import random
 from pathlib import Path
 
@@ -196,6 +197,12 @@ class TestDirections:
         with pytest.raises(ResourceError):
             directions(A, 2)  # 121 tuples > 100
 
+    def test_huge_k_refused_before_n_to_the_k(self):
+        # 2^k <= n^k is charged first, so 1000^3000000 is never built
+        A = ground_set("naturals", 1000)
+        with pytest.raises(ResourceError, match=r"at least 2\^3000000"):
+            directions(A, 3_000_000)
+
     def test_unit_points_are_unit(self):
         A = explicit_ground_set([1, 2, 5])
         pts = directions(A, 2).unit_points()
@@ -299,6 +306,14 @@ class TestChamber:
         csv_rows = len(path.read_text().splitlines()) - 1
         assert cloud.count == len(list(cloud)) == csv_rows == len(want)
         assert len(cloud.rows) < cloud.count
+
+    def test_count_is_exact_past_int64(self, monkeypatch):
+        # 21! and 24!/4! both pass 2^63, so they are summed in Python ints
+        monkeypatch.setenv("DIRECTIONS_BUDGET", str(10**30))
+        cloud = directions(ground_set("naturals", 21), 21, True)
+        assert cloud.count == math.factorial(21)
+        cloud = directions(ground_set("naturals", 24), 20, True)
+        assert cloud.count == math.factorial(24) // math.factorial(4)
 
 
 class TestSampling:

@@ -649,9 +649,9 @@ def test_generated_closure_and_validation_match_search(gens, rnd):
 @example(gen=TargetPoint.from_qr([(1, 1), (2, 3), (0, 1)]), M=60)
 def test_step_errors_obey_the_integer_lemma(gen, M):
     # the certificate's lemma: with S = sum (c_i - floor(m! y_i))^2, the
-    # true direction error is at most 2 sqrt(S)/m!, and S <= 25 (k+m)^2
-    # puts that within 10(k+m)/m!; errors near 1e-80 at m = 60 need the
-    # 400 digits
+    # true direction error is at most sqrt(S)/m!, and S <= k (k+m)^2, at
+    # most 100 (k+m)^2 for k <= 100, puts that within 10(k+m)/m!; errors
+    # near 1e-80 at m = 60 need the 400 digits
     k = gen.k
     with mpmath.workdps(400):
         for rec in construct(close_generators([gen]), M).steps:
@@ -665,8 +665,8 @@ def test_step_errors_obey_the_integer_lemma(gen, M):
             f = [int(mpmath.floor(mpmath.factorial(m) * t)) for t in y]
             assert tuple(f) == rec.floors
             S = sum((e - fi) ** 2 for e, fi in zip(rec.values, f))
-            assert err <= 2 * mpmath.sqrt(S) / mpmath.factorial(m)
-            assert S <= 25 * (k + m) ** 2
+            assert err <= mpmath.sqrt(S) / mpmath.factorial(m)
+            assert S <= k * (k + m) ** 2
 
 
 def proportional_points(k):
