@@ -25,7 +25,15 @@ Every step certifies, exactly:
 
 Floors of m! * y_i are computed with integer square roots, never floats:
 y_i is v_i / ||v|| with v_i = q sqrt(r), so (m! y_i)^2 is rational and
-floor(sqrt(P/Q)) = isqrt(P*Q) // Q.
+floor(sqrt(P/Q)) = isqrt(P*Q) // Q.  The printed direction error is the
+float that evaluating the exact squared distance at 256 bits gives, summed
+from ints and Fractions (``_direction_error``) with no surd built.
+
+Verification and the repetition demo report floats of the scalar code,
+tuple by tuple, but compute only a few of them that way: a numpy screen
+redoes the same coordinates bit for bit, brackets each distance, and
+settles in Python only the rows whose brackets leave a reported maximum,
+minimum or tolerance count open.
 """
 
 from __future__ import annotations
@@ -34,17 +42,26 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
-from itertools import combinations, permutations, product
-from math import factorial, inf, prod, sqrt
+from itertools import permutations, product
+from math import factorial, fsum, gcd, inf, isqrt, prod, sqrt
 from typing import Sequence
 
-from .core import FloatVec, distance, normalize, primitive
-from .enumeration import GroundSet, check_budget, directions
+import numpy as np
+
+from .core import SCALE_BITS, FloatVec, distance, normalize, primitive
+from .enumeration import (
+    _ITER_ROWS,
+    GroundSet,
+    _chamber_blocks,
+    check_budget,
+    directions,
+)
 from .errors import CertificateError, DomainError
-from .exact import SurdSum, sqrt_floor
+from .exact import SurdSum, sqrt_floor, squarefree_split
 from .targets import (
-    HYPERPLANE,
+    FINITE,
     FULL_SPHERE,
+    HYPERPLANE,
     TargetPoint,
     TargetSpec,
     _coord_to_json,
@@ -132,14 +149,40 @@ def _check_step_certificates(
             raise CertificateError(f"step {m}: coordinate {i} drifted past (k+m)")
         # f_i afresh: the certificate takes nothing from the step search
         spread += (c - sqrt_floor(num, den)) ** 2
-    err_sq = point.distance_sq(TargetPoint.from_ints(*values))
     if m >= 4 and spread > 100 * slack * slack and factorial(m) > 5 * slack:
+        err_sq = point.distance_sq(TargetPoint.from_ints(*values))
         bound = Fraction(100 * slack * slack, _factorial_sq(m))
         if (SurdSum.rational(bound) - err_sq).sign() < 0:
             raise CertificateError(
                 f"step {m}: direction error above 10(k+m)/m!"
             )
-    val = err_sq.to_float(bits=256)
+    return _direction_error(point, values)
+
+
+def _direction_error(point: TargetPoint, values: tuple[int, ...]) -> float:
+    """The printed error: sqrt of the float of the rational ``mid`` that
+    ``distance_sq(...).to_float(bits=256)`` sums, built from the same terms.
+
+    With P/Q = |y|^2 |c|^2 and P Q = s^2 f, the distance is 2 - (2s/P) sum_r
+    d_r sqrt(r f) over the radicands r of y and their dot coefficients d_r.
+    Each sqrt(r f) = g s' sqrt(f'), g = gcd(r, f) and (s', f') the split of
+    (r/g)(f/g), is read at 256 bits as isqrt(f' << 512) / 2^256.  f is split
+    already, so for r = 1 the split is (1, f).  The sum is exact, so its
+    order and grouping change nothing.
+    """
+    prod_sq = point.norm_sq * sum(c * c for c in values)
+    P, Q = prod_sq.numerator, prod_sq.denominator
+    s, f = squarefree_split(P * Q)
+    dot: dict[int, Fraction] = {}
+    for coord, c in zip(point.coords, values):
+        if coord.q:
+            dot[coord.r] = dot.get(coord.r, 0) + coord.q * c
+    total = Fraction(0)
+    for r, d in dot.items():
+        g = gcd(r, f)
+        s2, f2 = squarefree_split((r // g) * (f // g)) if r > 1 else (1, f)
+        total += d * (g * s2 * isqrt(f2 << 512))
+    val = float(2 - Fraction(2 * s, P << 256) * total)
     return sqrt(val) if val > 0 else 0.0
 
 
@@ -244,6 +287,27 @@ def _scale_ratio(m_small: int, m_big: int) -> float:
     return 1 / prod(range(m_small + 1, m_big + 1))
 
 
+# A numpy distance over coordinate differences equal to Python's, bit for
+# bit, rounds and sums the squares in another way: it stays within a relative
+# k eps of core.distance, plus about sqrt(k) 2^-537 where squares underflow.
+# The bracket is far wider, so it always holds core.distance.
+_BAND = 2.0**-30
+_FLOOR = 2.0**-500
+
+
+def _bracket(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) per row of coordinate differences with lo <= core.distance
+    <= hi; an all-zero row is exactly 0."""
+    d = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    slack = d * _BAND + np.where(diff.any(axis=1), _FLOOR, 0.0)
+    return d - slack, d + slack
+
+
+def _fsum_roots(squares: np.ndarray) -> np.ndarray:
+    """sqrt(fsum(row)) per row, as core.norm takes it."""
+    return np.sqrt([fsum(row) for row in squares.tolist()])
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Empirical two-sided comparison of a construction against its target.
@@ -310,10 +374,9 @@ def verify_construction(
             origins_of.setdefault(v, []).append((i, rec.step))
     scale_ratio = cache(_scale_ratio)  # few (m, m_big) pairs, many picks
     point_units = [p.unit() for p in spec.points]
-    back_haus = 0.0
-    back_residual = 0.0
-    violations = 0
-    for tup in combinations(tail, k):
+
+    def backward(tup: tuple[int, ...]) -> tuple[float, float]:
+        """(residual, distance to the target) of one tail tuple."""
         actual = normalize(tup)
         origins = [origins_of.get(e, ()) for e in tup]
         if any(not o for o in origins):
@@ -325,10 +388,67 @@ def verify_construction(
                 tuple(units[m][i] * scale_ratio(m, m_big) for i, m in pick)
             )
             best = min(best, distance(actual, pred))
-        back_residual = max(back_residual, best)
-        if best > tolerance:
-            violations += factorial(k)
-        back_haus = max(back_haus, _distance_to_target(spec, point_units, actual))
+        return best, _distance_to_target(spec, point_units, actual)
+
+    # The screen redoes normalize's floats in numpy for tuples of elements
+    # below 2^SCALE_BITS with one origin each: float(e) over the root of the
+    # fsum of float(e*e), and likewise for the prediction.  Only the rows
+    # whose brackets leave a reported value open go through backward, with
+    # every row the screen does not represent, in tuple order.
+    table = np.zeros((n, 4))  # float(e), float(e*e), units[m][i], m
+    ok = np.zeros(n, dtype=bool)
+    for j, e in enumerate(tail):
+        origins = origins_of.get(e, ())
+        if len(origins) == 1 and e.bit_length() <= SCALE_BITS:
+            (i, m), = origins
+            ok[j] = True
+            table[j] = float(e), float(e * e), units[m][i], m
+    floats, squares, coord_of = table[:, :3].T
+    m_of = table[:, 3].astype(np.int64)
+    orbit = factorial(k)
+    back_haus = 0.0
+    back_residual = 0.0
+    violations = 0
+    for block in _chamber_blocks(n, k, True):
+        for start in range(0, len(block), _ITER_ROWS):
+            idx = block[start : start + _ITER_ROWS]
+            rows = np.flatnonzero(ok[idx].all(axis=1))
+            steps = m_of[idx[rows]]
+            # each distinct (m, m_big) pair asks scale_ratio once
+            pairs, at = np.unique(
+                steps * (M + 1) + steps.max(axis=1)[:, None], return_inverse=True
+            )
+            ratios = np.array([scale_ratio(*divmod(int(p), M + 1)) for p in pairs])
+            raw = coord_of[idx[rows]] * ratios[at.reshape(steps.shape)]
+            pnorm = _fsum_roots(raw * raw)
+            live = pnorm > 0  # a zero prediction is backward's DomainError
+            rows, raw, pnorm = rows[live], raw[live], pnorm[live]
+            picked = idx[rows]
+            actual = floats[picked] / _fsum_roots(squares[picked])[:, None]
+            lo, hi = _bracket(actual - raw / pnorm[:, None])
+            # settle rows the tolerance cuts, rows that may hold the largest
+            # residual and rows that may lie farthest from the target
+            settle = (lo <= tolerance) & (hi > tolerance)
+            if len(rows):
+                settle |= (hi > back_residual) & (hi >= lo.max())
+                if spec.kind == HYPERPLANE:  # grows with the smallest entry
+                    settle[np.argmax(actual.min(axis=1))] = True
+                elif spec.kind == FINITE:
+                    near_lo = near_hi = np.full(len(rows), inf)
+                    for u in point_units:
+                        a, b = _bracket(actual - u)
+                        near_lo = np.minimum(near_lo, a)
+                        near_hi = np.minimum(near_hi, b)
+                    settle |= (near_hi > back_haus) & (near_hi >= near_lo.max())
+            violations += orbit * int(np.sum((lo > tolerance) & ~settle))
+            exact = np.ones(len(idx), dtype=bool)
+            exact[rows[~settle]] = False
+            for row in idx[exact].tolist():
+                best, haus = backward(tuple(tail[j] for j in row))
+                back_residual = max(back_residual, best)
+                if best > tolerance:
+                    violations += orbit
+                back_haus = max(back_haus, haus)
     return VerificationReport(
         forward_hausdorff=forward,
         backward_hausdorff=back_haus,
@@ -378,7 +498,11 @@ def repetition_demo(k: int, M: int) -> RepetitionReport:
     theta_u = theta.unit()
 
     cloud = directions(A, k, distinct_entries_only=False)
-    rep_min = min(distance(theta_u, u) for u in map(tuple, cloud.unit_points()))
+    units = cloud.unit_points()
+    lo, hi = _bracket(units - theta_u)
+    rep_min = min(
+        distance(theta_u, tuple(units[i])) for i in np.flatnonzero(lo <= hi.min())
+    )
 
     L = (M + 1) // 2
     cutoff = max(A.steps[L - 1].values)

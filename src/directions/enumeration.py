@@ -382,8 +382,9 @@ def directions(
     """The direction cloud of A, exact unless sampling is requested.
 
     Exhaustive mode enumerates the sorted tuples and refuses when the |A|^k
-    ordered tuples they stand for exceed the budget; pass ``sample`` (a
-    budget-capped number of uniform tuple draws) for a flagged sampled cloud.
+    ordered tuples they stand for exceed the budget; pass ``sample`` (uniform
+    tuple draws whose sample * k entries are budget-capped) for a flagged
+    sampled cloud.
     In distinct mode sampled draws with repeated entries are discarded, so
     the realized draw count can be slightly below ``sample``.
     """
@@ -401,7 +402,8 @@ def directions(
     elif sample < 1:
         raise DomainError("sample size must be >= 1")
     else:
-        check_budget(sample, "sampled draws")
+        # _sampled_block draws sample x k int64 indices at once
+        check_budget(sample * k, "sampled draw entries")
         if seed < 0:
             raise DomainError("seed must be >= 0")
     elems = A.elements

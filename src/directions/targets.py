@@ -8,7 +8,8 @@ Admissibility of a finite set means: closed under coordinate permutations
 and closed under zero-out-and-renormalize for every index set that meets the
 point.  ``close_generators`` produces the smallest admissible superset of
 its input; ``validate_target`` checks the conditions exactly on keys (unit
-squares y_i^2) alone and returns witnesses for any failure.
+squares y_i^2), scaled to primitive integer vectors, and returns witnesses
+for any failure.
 
 Each target kind has one deterministic sequence of points dense in the
 target set.  Construction consumes its first M points, ``dense_prefix``,
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, cycle, islice, product
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -167,26 +168,38 @@ class ValidityReport:
         return not self.witnesses
 
 
+def _int_key(key: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The primitive integer vector proportional to a key: equal for two
+    points exactly when their keys are, since every key sums to 1."""
+    den = lcm(*(sq.denominator for sq in key))
+    vec = [sq.numerator * (den // sq.denominator) for sq in key]
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
+
+
 def _orbit(
-    key: tuple[Fraction, ...],
-) -> Iterator[tuple[tuple[Fraction, ...], str, tuple[int, ...]]]:
-    """Keys of a point's images under the maps that generate both symmetries.
+    vec: tuple[int, ...],
+) -> Iterator[tuple[tuple[int, ...], str, tuple[int, ...]]]:
+    """Integer keys of a point's images under the maps that generate both
+    symmetries.
 
     The k - 1 adjacent transpositions generate every permutation.  Zeroing
     one coordinate at a time reaches every restriction to an index set that
     meets the point, and each step leaves a nonzero point.  So a finite set
-    that holds these images of its points is closed under both.  On a key a
-    transposition swaps two entries, and zeroing y_i sets entry i to 0 and
-    divides the others by their sum 1 - y_i^2.  Each image comes with the
-    kind of map and its indices, which name it in a validation witness.
+    that holds these images of its points is closed under both.  On an
+    integer key a transposition swaps two entries, and zeroing y_i sets
+    entry i to 0 and divides the rest by their gcd.  Each image comes with
+    the kind of map and its indices, which name it in a validation witness.
     """
-    k = len(key)
+    k = len(vec)
     for i in range(k - 1):
         order = (*range(i), i + 1, i, *range(i + 2, k))
-        yield tuple(key[j] for j in order), "permutation", order
-    for i, rest in enumerate(1 - sq for sq in key):
-        if rest:  # the point meets the other coordinates
-            image = tuple(0 if j == i else sq / rest for j, sq in enumerate(key))
+        yield tuple(vec[j] for j in order), "permutation", order
+    for i in range(k):
+        rest = [0 if j == i else v for j, v in enumerate(vec)]
+        g = gcd(*rest)
+        if g:  # the point meets the other coordinates
+            image = tuple(v // g for v in rest)
             yield image, "projection onto", (*range(i), *range(i + 1, k))
 
 
@@ -237,11 +250,12 @@ def validate_target(spec: TargetSpec) -> ValidityReport:
     """Check admissibility exactly; built-in kinds pass by proof."""
     if spec.kind in (FULL_SPHERE, HYPERPLANE):
         return ValidityReport(True, True, ())
-    keys = {p.key() for p in spec.points}
+    vecs = [_int_key(p.key()) for p in spec.points]
+    keys = set(vecs)
     witnesses: list[tuple[TargetPoint, str]] = []
     failed: set[str] = set()
-    for p in spec.points:
-        for image, kind, indices in _orbit(p.key()):
+    for p, vec in zip(spec.points, vecs):
+        for image, kind, indices in _orbit(vec):
             if image not in keys:
                 failed.add(kind)
                 witnesses.append((p, f"missing {kind} {indices}"))

@@ -15,7 +15,13 @@ are kept as written too; the evaluator reads the package's
 ``unit_rows``, the ``%s`` body of ``enumeration._write_csv``, the
 scalar sphere-net index and the meshgrid sphere net, whose row order is
 sphere_net order, and the surd comparison that certified a construction
-step's direction error before the integer lemma replaced it.
+step's direction error before the integer lemma replaced it.  The
+per-tuple backward pass of ``verify_construction``, the per-point minimum
+of ``repetition_demo``, the surd evaluation of a step's printed direction
+error and admissibility checked on ``Fraction`` keys are kept as the
+package wrote them before numpy screens and integer arithmetic took over.
+The first two call the package's own ``normalize``, ``distance`` and
+target distances, so they pin the screens, not those floats.
 """
 
 from __future__ import annotations
@@ -30,11 +36,19 @@ import mpmath
 import numpy as np
 from scipy.spatial import cKDTree
 
-from directions.core import SCALE_BITS
-from directions.enumeration import _ITER_ROWS
+from directions.construction import _distance_to_target, _scale_ratio, construct
+from directions.core import SCALE_BITS, distance, normalize
+from directions.enumeration import _ITER_ROWS, directions
 from directions.errors import DomainError
 from directions.exact import SurdSum, _sqrt_bounds
-from directions.targets import FINITE, TargetPoint, TargetSpec, canonical_order
+from directions.targets import (
+    FINITE,
+    TargetPoint,
+    TargetSpec,
+    canonical_order,
+    close_generators,
+    dense_prefix,
+)
 
 
 def brute_directions(A, k, distinct=False):
@@ -443,3 +457,88 @@ def scalar_net_index(v, d):
         if t != lead:  # mixed radix: d before the lead, d + 1 after it
             pos = pos * (d if t < lead else d + 1) + c
     return index + pos
+
+
+def scalar_forward(A, spec, M, L_index):
+    """``verify_construction``'s forward Hausdorff distance, one target
+    point and one step direction at a time."""
+    step_dirs = [normalize(rec.values) for rec in A.steps[:M]]
+    forward = 0.0
+    for point in dense_prefix(spec, M)[L_index:]:
+        u = point.unit()
+        forward = max(forward, min(distance(u, sd) for sd in step_dirs))
+    return forward
+
+
+def scalar_backward(A, spec, M, L_index):
+    """(residual, distance to the target) of every sorted tail tuple, in
+    ``combinations`` order; raises the DomainError of the first bad tuple.
+
+    ``verify_construction``'s backward pass before its numpy screen: each
+    tuple normalized, every origin pick predicted and measured in turn.
+    """
+    k = len(A.steps[0].values)
+    cutoff = max(A.steps[L_index - 1].values)
+    tail = [e for e in A.elements if e >= cutoff]
+    units = {rec.step: rec.target.unit() for rec in A.steps[:M]}
+    origins_of = {}
+    for rec in A.steps[:M]:
+        for i, v in enumerate(rec.values):
+            origins_of.setdefault(v, []).append((i, rec.step))
+    point_units = [p.unit() for p in spec.points]
+    out = []
+    for tup in itertools.combinations(tail, k):
+        actual = normalize(tup)
+        origins = [origins_of.get(e, ()) for e in tup]
+        if any(not o for o in origins):
+            raise DomainError("tail element comes from no step up to M")
+        best = math.inf
+        for pick in itertools.product(*origins):
+            m_big = max(m for _, m in pick)
+            pred = normalize(
+                tuple(units[m][i] * _scale_ratio(m, m_big) for i, m in pick)
+            )
+            best = min(best, distance(actual, pred))
+        out.append((best, _distance_to_target(spec, point_units, actual)))
+    return out
+
+
+def scalar_repetition_min(k, M):
+    """``repetition_demo``'s with_repetition_min_dist, one cloud point at a
+    time."""
+    eta = TargetPoint.from_qr([(1, 1), (1, 2)] + [(0, 1)] * (k - 2))
+    theta = TargetPoint.from_qr([(1, 1), (1, 2)] + [(1, 1)] * (k - 2))
+    cloud = directions(construct(close_generators([eta]), M), k)
+    theta_u = theta.unit()
+    return min(distance(theta_u, u) for u in map(tuple, cloud.unit_points()))
+
+
+def surd_direction_error(point, values):
+    """A step's printed direction error as the step certificate computed it
+    before ``_direction_error``: the exact squared distance as a ``SurdSum``,
+    evaluated at 256 bits."""
+    val = point.distance_sq(TargetPoint.from_ints(*values)).to_float(bits=256)
+    return math.sqrt(val) if val > 0 else 0.0
+
+
+def fraction_key_witnesses(points):
+    """``validate_target``'s witnesses from images of ``Fraction`` keys: a
+    transposition swaps two entries, zeroing y_i sets entry i to 0 and
+    divides the others by 1 - y_i^2."""
+    keys = {p.key() for p in points}
+    witnesses = []
+    for p in points:
+        key = p.key()
+        k = len(key)
+        images = []
+        for i in range(k - 1):
+            order = (*range(i), i + 1, i, *range(i + 2, k))
+            images.append((tuple(key[j] for j in order), "permutation", order))
+        for i, rest in enumerate(1 - sq for sq in key):
+            if rest:
+                image = tuple(0 if j == i else sq / rest for j, sq in enumerate(key))
+                images.append((image, "projection onto", (*range(i), *range(i + 1, k))))
+        for image, kind, indices in images:
+            if image not in keys:
+                witnesses.append((p, f"missing {kind} {indices}"))
+    return tuple(witnesses)

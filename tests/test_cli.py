@@ -58,6 +58,16 @@ class TestExitCodes:
         assert code == 2
         assert "resource" in err
 
+    def test_sampled_draw_entries_exit_2(self, capsys, monkeypatch):
+        # 10 draws of 50 entries each are 500 index entries, over 100
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "100")
+        code, _, err = run(
+            capsys, "enumerate", "--rule", "naturals", "--N", "11", "--k", "50",
+            "--sample", "10",
+        )
+        assert code == 2
+        assert "sampled draw entries" in err
+
     def test_usage_error_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

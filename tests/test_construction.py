@@ -40,7 +40,7 @@ from directions.targets import (
     dense_prefix,
 )
 
-from oracles import mp_floor_scaled, surd_step_bound_holds
+from oracles import mp_floor_scaled, surd_direction_error, surd_step_bound_holds
 
 
 CLOSURE_12 = close_generators([TargetPoint.from_ints(1, 2)])
@@ -302,6 +302,21 @@ class TestConstruct:
             A = construct(spec, 60)
         for rec in A.steps[3:]:
             assert surd_step_bound_holds(rec.target, rec.step, rec.values)
+
+    @pytest.mark.parametrize(
+        "spec, M",
+        [
+            (TargetSpec(kind=HYPERPLANE, k=3), 200),
+            (TargetSpec(kind=FULL_SPHERE, k=2), 110),
+            (close_generators([TargetPoint.from_qr([(1, 1), (2, 3), (0, 1)])]), 200),
+            (close_generators([TargetPoint.from_qr([(1, 2), (1, 3), (1, 5)])]), 150),
+        ],
+        ids=["hyperplane-k3", "full-k2", "closure-1-2sqrt3-0", "closure-sqrt235"],
+    )
+    def test_direction_errors_equal_the_surd_evaluation(self, spec, M):
+        for rec in construct(spec, M).steps:
+            want = surd_direction_error(rec.target, rec.values)
+            assert rec.direction_error.hex() == want.hex(), rec.step
 
     def test_dump_jsonl(self, tmp_path):
         A = construct(CLOSURE_12, 3)

@@ -197,6 +197,14 @@ class TestDirections:
         with pytest.raises(ResourceError):
             directions(A, 2)  # 121 tuples > 100
 
+    def test_sampled_draw_entries_budget(self, monkeypatch):
+        # the draw holds sample x k indices: 10 x 50 = 500 > 100
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "100")
+        A = explicit_ground_set(list(range(1, 12)))
+        with pytest.raises(ResourceError, match="sampled draw entries: 500"):
+            directions(A, 50, sample=10)
+        assert directions(A, 10, sample=10).sampled  # 100 entries pass
+
     def test_huge_k_refused_before_n_to_the_k(self):
         # 2^k <= n^k is charged first, so 1000^3000000 is never built
         A = ground_set("naturals", 1000)

@@ -6,7 +6,7 @@ import tempfile
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import cycle, islice, permutations
-from math import comb, prod
+from math import comb, factorial, nextafter, prod
 from unittest import mock
 
 import mpmath
@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from directions import density
-from directions.construction import construct
+from directions.construction import construct, repetition_demo, verify_construction
 from directions.core import scaled_floats
 from directions.density import covering_radius, sphere_net
 from directions.enumeration import (
@@ -32,7 +32,7 @@ from directions.enumeration import (
     orbit_rows,
     unit_rows,
 )
-from directions.errors import ResourceError
+from directions.errors import DomainError, ResourceError
 from directions.exact import Surd, SurdSum, squarefree_split
 from directions.targets import (
     FINITE,
@@ -51,6 +51,7 @@ from oracles import (
     brute_arrangement_count,
     brute_directions,
     cmp_points,
+    fraction_key_witnesses,
     full_covering_radius,
     full_orbit_validation,
     level_sorted_directions,
@@ -59,7 +60,10 @@ from oracles import (
     meshgrid_net,
     mp_surd_sign,
     percent_s_csv,
+    scalar_backward,
+    scalar_forward,
     scalar_net_index,
+    scalar_repetition_min,
     surd_sum_repr,
     surd_to_float,
     trial_squarefree_split,
@@ -642,6 +646,122 @@ def test_generated_closure_and_validation_match_search(gens, rnd):
     assert (rep.permutation_ok, rep.projection_ok, rep.passed) == (
         full_orbit_validation(kept)
     )
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    gens=st.integers(2, 4).flatmap(
+        lambda k: st.lists(target_points(k), min_size=1, max_size=5 - k)
+    ),
+    scale=st.tuples(
+        st.builds(Fraction, st.integers(1, 5), st.integers(1, 5)), TARGET_RADICANDS
+    ),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_validation_witnesses_match_fraction_keys(gens, scale, rnd):
+    # integer keys name the same images, in the same order, as Fraction
+    # keys; surd multiples of points stand in for some of them
+    points = list(close_generators(gens).points)
+    c = Surd.of(*scale)
+    kept = [
+        TargetPoint(tuple(x * c for x in p.coords)) if rnd.random() < 0.3 else p
+        for p in rnd.sample(points, rnd.randint(1, len(points)))
+    ]
+    rep = validate_target(TargetSpec(kind=FINITE, k=points[0].k, points=tuple(kept)))
+    assert rep.witnesses == fraction_key_witnesses(kept)
+
+
+def assert_verification_matches_scalar(A, spec, M, L, tolerances):
+    """Every report float and count equals the scalar passes', bit for bit,
+    or both raise the same DomainError."""
+    try:
+        pairs = scalar_backward(A, spec, M, L)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            verify_construction(A, spec, M, L, 0.05)
+        assert str(got.value) == str(exc)
+        return
+    k = len(A.steps[0].values)
+    forward = scalar_forward(A, spec, M, L)
+    for tol in tolerances:
+        rep = verify_construction(A, spec, M, L, 0.05, tolerance=tol)
+        assert rep.forward_hausdorff.hex() == forward.hex()
+        assert rep.backward_hausdorff.hex() == max([0.0] + [d for _, d in pairs]).hex()
+        assert rep.backward_max_residual.hex() == max([0.0] + [r for r, _ in pairs]).hex()
+        assert rep.backward_violations == factorial(k) * sum(r > tol for r, _ in pairs)
+        assert rep.tail_tuple_count == factorial(k) * len(pairs)
+
+
+VERIFY_SPECS = [
+    TargetSpec(kind=HYPERPLANE, k=2),
+    TargetSpec(kind=HYPERPLANE, k=3),
+    TargetSpec(kind=FULL_SPHERE, k=2),
+    TargetSpec(kind=FULL_SPHERE, k=3),
+    close_generators([TargetPoint.from_ints(1, 2)]),
+    close_generators([TargetPoint.from_qr([(1, 1), (1, 2), (0, 1)])]),
+    close_generators([TargetPoint.from_qr([(1, 2), (1, 3), (1, 5)])]),
+]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    spec=st.one_of(
+        st.sampled_from(VERIFY_SPECS),
+        st.integers(2, 3).flatmap(target_points).map(lambda g: close_generators([g])),
+    ),
+    M=st.integers(2, 16),
+    data=st.data(),
+)
+def test_verification_matches_scalar_passes(spec, M, data):
+    # a later step's elements have no origin up to M, so extra steps take
+    # the DomainError path; one tolerance is a residual the tail realizes
+    L = data.draw(st.integers(1, M - 1), label="L")
+    extra = data.draw(st.sampled_from([0, 0, 0, 1]), label="extra")
+    A = construct(spec, M + extra)
+    try:
+        realized = [r for r, _ in scalar_backward(A, spec, M, L)]
+    except DomainError:
+        realized = []
+    tols = [1e-3, 1e-9, 0.0]
+    if realized:
+        r = data.draw(st.sampled_from(realized), label="realized")
+        tols += [r, nextafter(r, 0.0)]  # at r and one ulp below
+    assert_verification_matches_scalar(A, spec, M, L, tols)
+
+
+def test_verification_edge_tails_match_scalar_passes():
+    hyp2, hyp3 = TargetSpec(kind=HYPERPLANE, k=2), TargetSpec(kind=HYPERPLANE, k=3)
+    full2 = TargetSpec(kind=FULL_SPHERE, k=2)
+    # tolerances at realized residuals, the largest among them, and one ulp
+    # below, where the bracket alone cannot tell
+    A = construct(hyp3, 20)
+    residuals = sorted(r for r, _ in scalar_backward(A, hyp3, 20, 10))
+    middle, top = residuals[len(residuals) // 2], residuals[-1]
+    assert_verification_matches_scalar(
+        A, hyp3, 20, 10, [middle, nextafter(middle, 0.0), top, nextafter(top, 0.0)]
+    )
+    # small L: tail elements with several origins take every origin pick
+    A = construct(hyp3, 12)
+    values = [v for rec in A.steps for v in rec.values]
+    assert any(values.count(e) > 1 for e in A.elements if e >= max(A.steps[0].values))
+    assert_verification_matches_scalar(A, hyp3, 12, 1, [1e-3, 0.0])
+    # k=2 tails across 2^512, where normalize scales the squares down
+    A = construct(full2, 105)
+    tail = [e for e in A.elements if e >= max(A.steps[89].values)]
+    assert tail[0] < 1 << 500 and tail[-1] > 1 << 512
+    assert_verification_matches_scalar(A, full2, 105, 90, [1e-3, 0.0])
+    assert_verification_matches_scalar(A, full2, 105, 100, [1e-3])  # all past
+    # all residuals exactly zero
+    for spec, M in ((hyp2, 30), (hyp3, 45)):
+        A = construct(spec, M)
+        assert {r for r, _ in scalar_backward(A, spec, M, M - 1)} == {0.0}
+        assert_verification_matches_scalar(A, spec, M, M - 1, [1e-3, 0.0, -1.0])
+
+
+@pytest.mark.parametrize("k, M", [(3, 6), (3, 15), (4, 10), (3, 30)])
+def test_repetition_min_matches_scalar_minimum(k, M):
+    got = repetition_demo(k, M).with_repetition_min_dist
+    assert got.hex() == scalar_repetition_min(k, M).hex()
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
