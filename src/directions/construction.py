@@ -48,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SCALE_BITS, FloatVec, distance, normalize, primitive
+from .core import SCALE_BITS, FloatVec, distance, norm, normalize, primitive
 from .enumeration import (
     _ITER_ROWS,
     GroundSet,
@@ -86,10 +86,12 @@ def _factorial_sq(m: int) -> int:
 
 
 def _scaled_square(point: TargetPoint, i: int, m: int) -> tuple[int, int]:
-    """(m! * y_i)^2 as an unreduced integer pair (num, den), from the
-    point's cached y_i^2; no Fraction is built or normalised."""
-    sq = point.key()[i]
-    return _factorial_sq(m) * sq.numerator, sq.denominator
+    """(m! * y_i)^2 as the unreduced integer pair ((m!)^2 n_i, sum n) of
+    the point's square vector n; no Fraction is built.  A common factor in
+    the pair changes neither ``sqrt_floor`` nor a cross-multiplied
+    comparison."""
+    vec = point.squares
+    return _factorial_sq(m) * vec[i], sum(vec)
 
 
 def factorial_floor(point: TargetPoint, i: int, m: int) -> FactorialFloor:
@@ -317,6 +319,8 @@ class VerificationReport:
     tuple of large constructed elements must point where the steps that
     produced its entries predict; the prediction mixes permuted,
     index-projected targets at the realized factorial scale ratios.
+    An origin pick whose prediction has norm 0 names no direction; it counts
+    as sqrt(2) off, the largest distance between two orthant directions.
     backward_hausdorff is the raw worst distance from those tuples to the
     target set itself: it shrinks like 1/M, not to zero, because a finite
     prefix still contains mixed-scale tuples partway toward their projected
@@ -384,10 +388,9 @@ def verify_construction(
         best = inf
         for pick in product(*origins):
             m_big = max(m for _, m in pick)
-            pred = normalize(
-                tuple(units[m][i] * scale_ratio(m, m_big) for i, m in pick)
-            )
-            best = min(best, distance(actual, pred))
+            pred = tuple(units[m][i] * scale_ratio(m, m_big) for i, m in pick)
+            d = distance(actual, normalize(pred)) if norm(pred) else sqrt(2)
+            best = min(best, d)
         return best, _distance_to_target(spec, point_units, actual)
 
     # The screen redoes normalize's floats in numpy for tuples of elements
@@ -421,7 +424,7 @@ def verify_construction(
             ratios = np.array([scale_ratio(*divmod(int(p), M + 1)) for p in pairs])
             raw = coord_of[idx[rows]] * ratios[at.reshape(steps.shape)]
             pnorm = _fsum_roots(raw * raw)
-            live = pnorm > 0  # a zero prediction is backward's DomainError
+            live = pnorm > 0  # backward settles a prediction of norm 0
             rows, raw, pnorm = rows[live], raw[live], pnorm[live]
             picked = idx[rows]
             actual = floats[picked] / _fsum_roots(squares[picked])[:, None]

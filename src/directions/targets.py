@@ -6,10 +6,11 @@ sphere and the union of coordinate hyperplanes).
 
 Admissibility of a finite set means: closed under coordinate permutations
 and closed under zero-out-and-renormalize for every index set that meets the
-point.  ``close_generators`` produces the smallest admissible superset of
-its input; ``validate_target`` checks the conditions exactly on keys (unit
-squares y_i^2), scaled to primitive integer vectors, and returns witnesses
-for any failure.
+point.  A point's exact identity is one primitive integer vector
+proportional to its unit squares (y_1^2, ..., y_k^2), which fix y >= 0;
+both symmetries act on it.  ``close_generators`` produces the smallest
+admissible superset of its input; ``validate_target`` checks the
+conditions exactly on those vectors and returns witnesses for any failure.
 
 Each target kind has one deterministic sequence of points dense in the
 target set.  Construction consumes its first M points, ``dense_prefix``,
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, cycle, islice, product
 from math import comb, gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -75,13 +76,20 @@ class TargetPoint:
         return sum((c.square() for c in self.coords), Fraction(0))
 
     @cached_property
-    def _unit_squares(self) -> tuple[Fraction, ...]:
-        return tuple(c.square() / self.norm_sq for c in self.coords)
+    def squares(self) -> tuple[int, ...]:
+        """Exact identity of the direction: the primitive integer vector
+        proportional to (y_1^2, ..., y_k^2) for y = coords/||coords||."""
+        # y_i^2 is proportional to (den * q_i)^2 r_i, an integer
+        den = lcm(*(c.q.denominator for c in self.coords))
+        vec = [(c.q.numerator * den // c.q.denominator) ** 2 * c.r for c in self.coords]
+        g = gcd(*vec)
+        return tuple(v // g for v in vec)
 
     def key(self) -> tuple[Fraction, ...]:
-        """Exact identity of the direction: y_i^2 for y = coords/||coords||,
-        which fix y >= 0, so keys sort as the unit vectors do."""
-        return self._unit_squares
+        """y_i^2 as Fractions, from ``squares``: keys sort as the unit
+        vectors do."""
+        total = sum(self.squares)
+        return tuple(Fraction(v, total) for v in self.squares)
 
     def unit(self) -> FloatVec:
         return normalize(tuple(c.to_float() for c in self.coords))
@@ -96,11 +104,8 @@ class TargetPoint:
                 f"index set {sorted(keep_set)} does not meet {self!r}"
             )
         zero = Surd.of(0)
-        kept = [sq if i in keep_set else Fraction(0) for i, sq in enumerate(self.key())]
-        total = sum(kept)  # y_i^2 / total is c_i^2 over the kept squared norm
-        return _seeded(
-            (c if i in keep_set else zero for i, c in enumerate(self.coords)),
-            (sq / total for sq in kept),
+        return TargetPoint(
+            tuple(c if i in keep_set else zero for i, c in enumerate(self.coords))
         )
 
     def distance_sq(self, other: "TargetPoint") -> SurdSum:
@@ -123,13 +128,6 @@ class TargetPoint:
 
     def __repr__(self) -> str:
         return "TargetPoint(" + ", ".join(repr(c) for c in self.coords) + ")"
-
-
-def _seeded(coords: Iterable[Surd], squares: Iterable[Fraction]) -> TargetPoint:
-    """A point whose unit squares, known already, seed its cached key."""
-    point = TargetPoint(tuple(coords))
-    point.__dict__["_unit_squares"] = tuple(squares)
-    return point
 
 
 def canonical_order(points: Sequence[TargetPoint]) -> list[TargetPoint]:
@@ -168,26 +166,17 @@ class ValidityReport:
         return not self.witnesses
 
 
-def _int_key(key: tuple[Fraction, ...]) -> tuple[int, ...]:
-    """The primitive integer vector proportional to a key: equal for two
-    points exactly when their keys are, since every key sums to 1."""
-    den = lcm(*(sq.denominator for sq in key))
-    vec = [sq.numerator * (den // sq.denominator) for sq in key]
-    g = gcd(*vec)
-    return tuple(v // g for v in vec)
-
-
 def _orbit(
     vec: tuple[int, ...],
 ) -> Iterator[tuple[tuple[int, ...], str, tuple[int, ...]]]:
-    """Integer keys of a point's images under the maps that generate both
-    symmetries.
+    """Square vectors of a point's images under the maps that generate
+    both symmetries.
 
     The k - 1 adjacent transpositions generate every permutation.  Zeroing
     one coordinate at a time reaches every restriction to an index set that
     meets the point, and each step leaves a nonzero point.  So a finite set
-    that holds these images of its points is closed under both.  On an
-    integer key a transposition swaps two entries, and zeroing y_i sets
+    that holds these images of its points is closed under both.  On a
+    square vector a transposition swaps two entries, and zeroing y_i sets
     entry i to 0 and divides the rest by their gcd.  Each image comes with
     the kind of map and its indices, which name it in a validation witness.
     """
@@ -209,8 +198,11 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     A restriction of a permuted point is a permutation of a restricted one,
     so the closure is every distinct arrangement (``orbit_rows``) of every
     restriction of a generator to an index set that meets it, deduplicated
-    on the exact key.  The first point seen of each direction is kept:
-    generators last-first, subsets of the support largest mask first.
+    on the square vector.  The first point seen of each direction is kept:
+    generators last-first, subsets of the support largest mask first.  An
+    arrangement's square vector and key are its restriction's, rearranged,
+    so each restriction computes them once and the output sorts as
+    ``canonical_order`` would.
 
     Each generator's arrangements are charged to the budget before any is
     built: first C(s+k, k) - 1 for support size s, a lower bound that also
@@ -221,7 +213,7 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     k = points[0].k
     if any(p.k != k for p in points):
         raise DomainError("generators must share one dimension")
-    seen: dict[tuple[Fraction, ...], TargetPoint] = {}
+    seen: dict[tuple[int, ...], tuple[tuple[Fraction, ...], TargetPoint]] = {}
     total = 0
     for p in reversed(points):
         support = [i for i, c in enumerate(p.coords) if not c.is_zero()]
@@ -230,19 +222,21 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
         for mask in range((1 << len(support)) - 1, 0, -1):
             dropped = {i for j, i in enumerate(support) if not mask >> j & 1}
             part = p.restricted([i for i in range(k) if i not in dropped])
-            square_of = dict(zip(part.coords, part.key()))
-            values, squares = list(square_of), list(square_of.values())
+            ids = dict(zip(part.coords, zip(part.squares, part.key())))
+            values = list(ids)
             row = sorted(values.index(c) for c in part.coords)
-            parts.append((values, squares, row))
-        total += int(np.sum(orbit_sizes(np.array([row for _, _, row in parts]))))
+            parts.append((values, *zip(*ids.values()), row))
+        total += int(np.sum(orbit_sizes(np.array([part[-1] for part in parts]))))
         check_budget(total, "closure arrangements")
-        for values, squares, row in parts:
+        for values, squares, keys, row in parts:
             for order in orbit_rows(np.array([row])).tolist():
-                key = tuple(squares[i] for i in order)
-                if key not in seen:
-                    # an arrangement's key is its restriction's, rearranged
-                    seen[key] = _seeded((values[i] for i in order), key)
-    closed = canonical_order(seen.values())
+                vec = tuple(squares[i] for i in order)
+                if vec not in seen:
+                    seen[vec] = (
+                        tuple(keys[i] for i in order),
+                        TargetPoint(tuple(values[i] for i in order)),
+                    )
+    closed = [point for _, point in sorted(seen.values(), key=lambda kp: kp[0])]
     return TargetSpec(kind=FINITE, k=k, points=tuple(closed))
 
 
@@ -250,7 +244,7 @@ def validate_target(spec: TargetSpec) -> ValidityReport:
     """Check admissibility exactly; built-in kinds pass by proof."""
     if spec.kind in (FULL_SPHERE, HYPERPLANE):
         return ValidityReport(True, True, ())
-    vecs = [_int_key(p.key()) for p in spec.points]
+    vecs = [p.squares for p in spec.points]
     keys = set(vecs)
     witnesses: list[tuple[TargetPoint, str]] = []
     failed: set[str] = set()

@@ -21,7 +21,9 @@ of ``repetition_demo``, the surd evaluation of a step's printed direction
 error and admissibility checked on ``Fraction`` keys are kept as the
 package wrote them before numpy screens and integer arithmetic took over.
 The first two call the package's own ``normalize``, ``distance`` and
-target distances, so they pin the screens, not those floats.
+target distances, so they pin the screens, not those floats.  So is a
+point's key as the package cached it before a primitive integer vector
+became the point's identity: each coordinate squared over the squared norm.
 """
 
 from __future__ import annotations
@@ -475,7 +477,8 @@ def scalar_backward(A, spec, M, L_index):
     ``combinations`` order; raises the DomainError of the first bad tuple.
 
     ``verify_construction``'s backward pass before its numpy screen: each
-    tuple normalized, every origin pick predicted and measured in turn.
+    tuple normalized, every origin pick predicted and measured in turn; a
+    prediction of norm 0 is sqrt(2) from every tuple.
     """
     k = len(A.steps[0].values)
     cutoff = max(A.steps[L_index - 1].values)
@@ -495,10 +498,11 @@ def scalar_backward(A, spec, M, L_index):
         best = math.inf
         for pick in itertools.product(*origins):
             m_big = max(m for _, m in pick)
-            pred = normalize(
-                tuple(units[m][i] * _scale_ratio(m, m_big) for i, m in pick)
-            )
-            best = min(best, distance(actual, pred))
+            pred = tuple(units[m][i] * _scale_ratio(m, m_big) for i, m in pick)
+            if math.sqrt(math.fsum(c * c for c in pred)) == 0.0:
+                best = min(best, math.sqrt(2))
+            else:
+                best = min(best, distance(actual, normalize(pred)))
         out.append((best, _distance_to_target(spec, point_units, actual)))
     return out
 
@@ -511,6 +515,13 @@ def scalar_repetition_min(k, M):
     cloud = directions(construct(close_generators([eta]), M), k)
     theta_u = theta.unit()
     return min(distance(theta_u, u) for u in map(tuple, cloud.unit_points()))
+
+
+def fraction_unit_squares(point):
+    """A point's key as the package cached it before its square vector:
+    y_i^2 = c_i^2 / |c|^2, one ``Fraction`` division per coordinate."""
+    norm_sq = sum((c.square() for c in point.coords), Fraction(0))
+    return tuple(c.square() / norm_sq for c in point.coords)
 
 
 def surd_direction_error(point, values):

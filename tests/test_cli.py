@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 
 import directions
 from directions.cli import main
+from directions.targets import TargetPoint, close_generators, save_spec
 
 
 # five elements near 10^400, and a consecutive ratio of 10^400 / 3
@@ -481,6 +483,42 @@ class TestReports:
         assert code == 0, err
         assert len(json.loads(out)["direction_errors"]) == M
 
+    def test_wide_step_past_the_bound_is_refused(self, capsys):
+        # at k = 400 the offsets and shift alone put step 8 above the bound,
+        # and the surd comparison refuses it
+        code, out, err = run(
+            capsys, "construct", "--builtin", "orthant-sphere-full",
+            "--k", "400", "--M", "8",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: step 8: direction error above 10(k+m)/m!\n"
+
+    def test_verify_zero_prediction_counts_as_violation(self, tmp_path, capsys):
+        # at L = 1 some origin picks take every entry from a zero target
+        # coordinate or a step whose scale ratio underflows: the prediction
+        # has norm 0 and takes the residual sqrt(2) instead of exiting 1
+        spec = tmp_path / "spec.json"
+        row = [{"q": "1", "r": 1}, {"q": "2", "r": 3}, {"q": "0", "r": 1}]
+        spec.write_text(json.dumps({"k": 3, "generators": [row]}))
+        argv = ["verify", "--spec", str(spec), "--M", "20"]
+        code, out, err = run(capsys, *argv, "--L", "1")
+        assert code == 0, err
+        assert json.loads(out)["verification"]["backward_violations"] > 0
+        code, out, _ = run(capsys, *argv, "--L", "2")
+        assert code == 0  # L = 2 meets no such pick: its report is as it was
+        assert json.loads(out)["verification"] == {
+            "L_index": 2,
+            "M": 20,
+            "backward_hausdorff": 0.632604421444451,
+            "backward_max_residual": 0.6573743288231061,
+            "backward_violations": 540,
+            "forward_hausdorff": 4.433589038483547e-09,
+            "h": 0.05,
+            "tail_cutoff": 5,
+            "tail_tuple_count": 26970,
+            "tolerance": 0.001,
+        }
+
     def test_chain_constructed(self, capsys):
         code, out, _ = run(
             capsys,
@@ -639,6 +677,25 @@ class TestArtifacts:
         assert A.elements[-1] > 2**63
         want = ([str(e)] for e in A.elements)
         assert elements_csv.read_bytes() == csv_writer_bytes(["element"], want)
+
+    def test_k5_surd_closure_and_construction_bytes_are_frozen(self, tmp_path, capsys):
+        # the spec file and the trace are pure int and Fraction output
+        spec, dump = tmp_path / "spec.json", tmp_path / "trace.jsonl"
+        gens = [
+            TargetPoint.from_qr([(1, 1), (1, 2), (2, 3), (0, 1), (0, 1)]),
+            TargetPoint.from_qr([("1/2", 1), (1, 1), (1, 5), (3, 7), (0, 1)]),
+        ]
+        save_spec(close_generators(gens), str(spec))
+        code, _, err = run(
+            capsys, "construct", "--spec", str(spec), "--M", "60", "--dump", str(dump)
+        )
+        assert code == 0, err
+        assert hashlib.sha256(spec.read_bytes()).hexdigest() == (
+            "25166cce7e2509075c48f3bb7d28a532570f8c8297ee54fd7278fceb4009a027"
+        )
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+            "ef3ad6c0b9212b615775824fcacee9fceda5a7208b5acba65bfb858f8de3eca7"
+        )
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         argv = [

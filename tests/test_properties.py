@@ -6,7 +6,7 @@ import tempfile
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import cycle, islice, permutations
-from math import comb, factorial, nextafter, prod
+from math import comb, factorial, gcd, nextafter, prod
 from unittest import mock
 
 import mpmath
@@ -52,11 +52,13 @@ from oracles import (
     brute_directions,
     cmp_points,
     fraction_key_witnesses,
+    fraction_unit_squares,
     full_covering_radius,
     full_orbit_validation,
     level_sorted_directions,
     linalg_unit_rows,
     mask_permutation_closure,
+    meeting_index_sets,
     meshgrid_net,
     mp_surd_sign,
     percent_s_csv,
@@ -621,6 +623,13 @@ def test_closure_is_admissible_and_keys_order_as_oracle(gens, scale, rnd):
     for a, b in zip(mixed, mixed[1:]):
         assert (a.key() == b.key()) == (cmp_points(a, b) == 0)
     assert canonical_order(mixed) == sorted(mixed, key=cmp_to_key(cmp_points))
+    # the key is each unit square, the square vector its primitive scaling
+    parts = [g.restricted(members) for g in gens for members in meeting_index_sets(g)]
+    for p in mixed + parts:
+        vec, want = p.squares, fraction_unit_squares(p)
+        assert p.key() == want
+        assert gcd(*vec) == 1 and all(v >= 0 for v in vec)
+        assert tuple(Fraction(v, sum(vec)) for v in vec) == want
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -751,6 +760,10 @@ def test_verification_edge_tails_match_scalar_passes():
     assert tail[0] < 1 << 500 and tail[-1] > 1 << 512
     assert_verification_matches_scalar(A, full2, 105, 90, [1e-3, 0.0])
     assert_verification_matches_scalar(A, full2, 105, 100, [1e-3])  # all past
+    # L = 1: some origin picks predict a vector of norm 0
+    spec = close_generators([TargetPoint.from_qr([(1, 1), (2, 3), (0, 1)])])
+    A = construct(spec, 20)
+    assert_verification_matches_scalar(A, spec, 20, 1, [1e-3, 0.0])
     # all residuals exactly zero
     for spec, M in ((hyp2, 30), (hyp3, 45)):
         A = construct(spec, M)

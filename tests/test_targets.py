@@ -75,11 +75,10 @@ class TestTargetPoint:
         q = p.restricted([0, 2])
         assert q.key() == TargetPoint.from_ints(3, 0, 5).key()
 
-    def test_maps_seed_the_keys_a_fresh_point_computes(self):
+    def test_restriction_has_a_fresh_points_identity(self):
         p = TargetPoint.from_qr([(1, 1), (1, 2), (Fraction(2, 3), 5)])
         q = p.restricted([0, 2])
-        assert "_unit_squares" in vars(q)
-        assert q.key() == TargetPoint(q.coords).key()
+        assert q.squares == TargetPoint(q.coords).squares == (9, 0, 20)
 
     def test_restricted_needs_support(self):
         p = TargetPoint.from_ints(1, 0, 2)
