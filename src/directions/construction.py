@@ -25,9 +25,9 @@ Every step certifies, exactly:
 
 Floors of m! * y_i are computed with integer square roots, never floats:
 y_i is v_i / ||v|| with v_i = q sqrt(r), so (m! y_i)^2 is rational and
-floor(sqrt(P/Q)) = isqrt(P*Q) // Q.  The printed direction error is the
-float that evaluating the exact squared distance at 256 bits gives, summed
-from ints and Fractions (``_direction_error``) with no surd built.
+floor(sqrt(P/Q)) = isqrt(P*Q) // Q.  Each step builds its exact squared
+direction error once (``exact.chord_sq``); the k > 100 comparison reads
+it, and the printed error is the root of its float at 256 bits.
 
 Verification and the repetition demo report floats of the scalar code,
 tuple by tuple, but compute only a few of them that way: a numpy screen
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
 from itertools import permutations, product
-from math import factorial, fsum, gcd, inf, isqrt, prod, sqrt
+from math import factorial, fsum, inf, isfinite, prod, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +57,7 @@ from .enumeration import (
     directions,
 )
 from .errors import CertificateError, DomainError
-from .exact import SurdSum, sqrt_floor, squarefree_split
+from .exact import SurdSum, chord_sq, sqrt_floor
 from .targets import (
     FINITE,
     FULL_SPHERE,
@@ -135,7 +135,10 @@ def _check_step_certificates(
     within 10(k+m)/m!.  The check c_i - m! y_i <= k + m puts c_i - f_i at
     most k + m, so S passes for every k <= 100.  A step past it (k > 100)
     is decided by the exact surd comparison, unless m! <= 5(k+m), where
-    the bound is at least 2, above any chordal distance.
+    the bound is at least 2, above any chordal distance.  That comparison
+    and the printed error read one exact squared distance, built from the
+    integer dot product by ``chord_sq``; the error is the root of its
+    float at 256 bits.
     """
     k = len(values)
     if len(set(values)) != k:
@@ -151,40 +154,18 @@ def _check_step_certificates(
             raise CertificateError(f"step {m}: coordinate {i} drifted past (k+m)")
         # f_i afresh: the certificate takes nothing from the step search
         spread += (c - sqrt_floor(num, den)) ** 2
+    dot: dict[int, Fraction] = {}
+    for coord, c in zip(point.coords, values):
+        if coord.q:
+            dot[coord.r] = dot.get(coord.r, 0) + coord.q * c
+    err_sq = chord_sq(dot, point.norm_sq * sum(c * c for c in values))
     if m >= 4 and spread > 100 * slack * slack and factorial(m) > 5 * slack:
-        err_sq = point.distance_sq(TargetPoint.from_ints(*values))
         bound = Fraction(100 * slack * slack, _factorial_sq(m))
         if (SurdSum.rational(bound) - err_sq).sign() < 0:
             raise CertificateError(
                 f"step {m}: direction error above 10(k+m)/m!"
             )
-    return _direction_error(point, values)
-
-
-def _direction_error(point: TargetPoint, values: tuple[int, ...]) -> float:
-    """The printed error: sqrt of the float of the rational ``mid`` that
-    ``distance_sq(...).to_float(bits=256)`` sums, built from the same terms.
-
-    With P/Q = |y|^2 |c|^2 and P Q = s^2 f, the distance is 2 - (2s/P) sum_r
-    d_r sqrt(r f) over the radicands r of y and their dot coefficients d_r.
-    Each sqrt(r f) = g s' sqrt(f'), g = gcd(r, f) and (s', f') the split of
-    (r/g)(f/g), is read at 256 bits as isqrt(f' << 512) / 2^256.  f is split
-    already, so for r = 1 the split is (1, f).  The sum is exact, so its
-    order and grouping change nothing.
-    """
-    prod_sq = point.norm_sq * sum(c * c for c in values)
-    P, Q = prod_sq.numerator, prod_sq.denominator
-    s, f = squarefree_split(P * Q)
-    dot: dict[int, Fraction] = {}
-    for coord, c in zip(point.coords, values):
-        if coord.q:
-            dot[coord.r] = dot.get(coord.r, 0) + coord.q * c
-    total = Fraction(0)
-    for r, d in dot.items():
-        g = gcd(r, f)
-        s2, f2 = squarefree_split((r // g) * (f // g)) if r > 1 else (1, f)
-        total += d * (g * s2 * isqrt(f2 << 512))
-    val = float(2 - Fraction(2 * s, P << 256) * total)
+    val = err_sq.to_float(bits=256)
     return sqrt(val) if val > 0 else 0.0
 
 
@@ -353,6 +334,9 @@ def verify_construction(
         raise DomainError(f"construction has only {len(A.steps)} steps")
     if not 1 <= L_index < M:
         raise DomainError("need 1 <= L_index < M")
+    # a NaN tolerance counts no violation, and neither value is JSON
+    if not (isfinite(h) and isfinite(tolerance)):
+        raise DomainError("h and tolerance must be finite")
     _require_valid(spec)
     k = len(A.steps[0].values)
 

@@ -21,6 +21,10 @@ to signs of finite sums of such terms, so this module provides:
     whose square part survived ``squarefree_split``); hitting the cap raises
     instead of guessing.
 
+``chord_sq``
+    the squared chordal distance between two directions, 2 - 2 cos, from
+    their dot product and squared norms; every exact distance is built by it.
+
 ``sqrt_floor``
     floor(sqrt(p/q)) for nonnegative integers, computed exactly with
     ``math.isqrt``.  This is the workhorse behind certified factorial floors.
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod, sqrt
+from math import gcd, isqrt, lcm, prod, sqrt
 
 from .core import _sieve_primes
 from .errors import DomainError, PrecisionError
@@ -188,21 +192,6 @@ class SurdSum:
     def __sub__(self, other: "SurdSum") -> "SurdSum":
         return self._merged(other, -1)
 
-    def __mul__(self, other: "SurdSum") -> "SurdSum":
-        out: dict[int, Fraction] = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                t = Surd(c1, r1) * Surd(c2, r2)
-                # split again in case an unsplit radicand slipped through
-                s, f = squarefree_split(t.r) if t.r > 1 else (1, t.r)
-                coeff = t.q * s
-                nc = out.get(f, Fraction(0)) + coeff
-                if nc == 0:
-                    out.pop(f, None)
-                else:
-                    out[f] = nc
-        return SurdSum(out)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -243,11 +232,15 @@ class SurdSum:
         return (self - other).sign()
 
     def to_float(self, bits: int = 128) -> float:
-        mid = Fraction(0)
-        for r, c in self.terms.items():
-            a, _ = _sqrt_bounds(r, bits)
-            mid += c * Fraction(a, 1 << bits)
-        return float(mid)
+        """The float of the sum with each sqrt(r) floored at ``bits``: one
+        integer sum over a common denominator and one int/int division,
+        which rounds correctly, as float(Fraction) does."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        mid = sum(
+            c.numerator * (den // c.denominator) * _sqrt_bounds(r, bits)[0]
+            for r, c in self.terms.items()
+        )
+        return mid / (den << bits)
 
     def sqrt_to_float(self) -> float:
         """float(sqrt(self)); self must be nonnegative."""
@@ -270,3 +263,22 @@ class SurdSum:
             else:
                 out += f" + {body}" if c > 0 else f" - {body}"
         return out
+
+
+def chord_sq(dot: dict[int, Fraction], norms_sq: Fraction) -> SurdSum:
+    """Exact ||u/|u| - v/|v|||^2 = 2 - 2 (u.v) / sqrt(|u|^2 |v|^2).
+
+    ``dot`` is u.v as {radicand r: coefficient d_r} and ``norms_sq`` is
+    |u|^2 |v|^2 = P/Q.  With P Q = s^2 f, 1/sqrt(P/Q) = (s/P) sqrt(f), and
+    each sqrt(r f) = g s' sqrt(f') for g = gcd(r, f) and (s', f') the split
+    of (r/g)(f/g).  f is split already, so for r = 1 the split is (1, f).
+    """
+    P, Q = norms_sq.numerator, norms_sq.denominator
+    s, f = squarefree_split(P * Q)
+    scale = Fraction(2 * s, P)
+    terms: dict[int, Fraction] = {1: Fraction(2)}
+    for r, d in dot.items():
+        g = gcd(r, f)
+        s2, f2 = squarefree_split((r // g) * (f // g)) if r > 1 else (1, f)
+        terms[f2] = terms.get(f2, 0) - d * (g * s2) * scale
+    return SurdSum(terms)

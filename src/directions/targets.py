@@ -33,7 +33,7 @@ import numpy as np
 from .core import FloatVec, normalize
 from .enumeration import check_budget, orbit_rows, orbit_sizes
 from .errors import DomainError
-from .exact import Surd, SurdSum
+from .exact import Surd, SurdSum, chord_sq
 
 FINITE = "finite-set"
 FULL_SPHERE = "orthant-sphere-full"
@@ -109,30 +109,18 @@ class TargetPoint:
         )
 
     def distance_sq(self, other: "TargetPoint") -> SurdSum:
-        """Exact squared chordal distance between the two unit directions.
-
-        ||u/|u| - v/|v|||^2 = 2 - 2 (u.v) / sqrt(|u|^2 |v|^2).
-        """
+        """Exact squared chordal distance between the two unit directions."""
         if other.k != self.k:
             raise DomainError("dimension mismatch")
-        dot = SurdSum()
+        dot: dict[int, Fraction] = {}
         for a, b in zip(self.coords, other.coords):
-            dot = dot + SurdSum.from_surd(a * b)
-        prod = self.norm_sq * other.norm_sq
-        # 2/sqrt(P/Q) = (2/P)*sqrt(P*Q)
-        twice_inv_norm = Surd.of(Fraction(2, prod.numerator)) * Surd.of(
-            1, prod.numerator * prod.denominator
-        )
-        twice_cos = dot * SurdSum.from_surd(twice_inv_norm)
-        return SurdSum.rational(2) - twice_cos
+            t = a * b
+            if t.q:
+                dot[t.r] = dot.get(t.r, 0) + t.q
+        return chord_sq(dot, self.norm_sq * other.norm_sq)
 
     def __repr__(self) -> str:
         return "TargetPoint(" + ", ".join(repr(c) for c in self.coords) + ")"
-
-
-def canonical_order(points: Sequence[TargetPoint]) -> list[TargetPoint]:
-    """Exact lexicographic order on the normalized coordinates."""
-    return sorted(points, key=TargetPoint.key)
 
 
 @dataclass(frozen=True)
@@ -201,8 +189,8 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
     on the square vector.  The first point seen of each direction is kept:
     generators last-first, subsets of the support largest mask first.  An
     arrangement's square vector and key are its restriction's, rearranged,
-    so each restriction computes them once and the output sorts as
-    ``canonical_order`` would.
+    so each restriction computes them once; the output is sorted by
+    ``key()``.
 
     Each generator's arrangements are charged to the budget before any is
     built: first C(s+k, k) - 1 for support size s, a lower bound that also

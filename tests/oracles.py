@@ -9,9 +9,13 @@ layer replaced (level-sorted dense sequence, work-list closure, full-orbit
 validation, mask-by-permutation closure) are kept as written; the last
 three apply the package's own restriction map and keys, and permute
 coordinates with their own helper, so they pin generation against
-search.  The surd printer and float evaluator that ``exact`` replaced
-are kept as written too; the evaluator reads the package's
-``_sqrt_bounds``.  So is the ``np.linalg.norm`` body of
+search; the last sorts with ``canonical_order``, the package's sort by
+``key()`` before closure sorted its own keys.  The surd printer and float
+evaluator that ``exact`` replaced are kept as written too, and so are the
+``Fraction`` sum of ``SurdSum.to_float`` and the squared distance that
+``TargetPoint.distance_sq`` built by multiplying ``SurdSum``s before
+``exact.chord_sq``; they read the package's ``_sqrt_bounds`` and
+``squarefree_split``.  So is the ``np.linalg.norm`` body of
 ``unit_rows``, the ``%s`` body of ``enumeration._write_csv``, the
 scalar sphere-net index and the meshgrid sphere net, whose row order is
 sphere_net order, and the surd comparison that certified a construction
@@ -42,12 +46,11 @@ from directions.construction import _distance_to_target, _scale_ratio, construct
 from directions.core import SCALE_BITS, distance, normalize
 from directions.enumeration import _ITER_ROWS, directions
 from directions.errors import DomainError
-from directions.exact import SurdSum, _sqrt_bounds
+from directions.exact import Surd, SurdSum, _sqrt_bounds, squarefree_split
 from directions.targets import (
     FINITE,
     TargetPoint,
     TargetSpec,
-    canonical_order,
     close_generators,
     dense_prefix,
 )
@@ -232,6 +235,11 @@ def full_orbit_validation(points):
     return "permutation" not in failed, "projection onto" not in failed, not failed
 
 
+def canonical_order(points: Sequence[TargetPoint]) -> list[TargetPoint]:
+    """Exact lexicographic order on the normalized coordinates."""
+    return sorted(points, key=TargetPoint.key)
+
+
 def mask_permutation_closure(points: Sequence[TargetPoint]) -> TargetSpec:
     """Smallest superset closed under permutations and index projections.
 
@@ -342,12 +350,47 @@ def mp_surd_sign(terms, bits):
         return 1 if v > 0 else -1
 
 
+def surd_distance_sq(a, b):
+    """``TargetPoint.distance_sq`` as the package wrote it before
+    ``exact.chord_sq``: 2 - (u.v) * 2/sqrt(|u|^2 |v|^2), the dot product
+    summed as ``SurdSum``s and multiplied term by term, each product
+    radicand split again."""
+    dot = SurdSum()
+    for x, y in zip(a.coords, b.coords):
+        dot = dot + SurdSum.from_surd(x * y)
+    prod = a.norm_sq * b.norm_sq
+    # 2/sqrt(P/Q) = (2/P)*sqrt(P*Q)
+    inv = Surd.of(Fraction(2, prod.numerator)) * Surd.of(
+        1, prod.numerator * prod.denominator
+    )
+    out = {}
+    for r, c in dot.terms.items():
+        t = Surd(c, r) * inv
+        s, f = squarefree_split(t.r) if t.r > 1 else (1, t.r)
+        nc = out.get(f, Fraction(0)) + t.q * s
+        if nc == 0:
+            out.pop(f, None)
+        else:
+            out[f] = nc
+    return SurdSum.rational(2) - SurdSum(out)
+
+
+def fraction_to_float(self, bits):
+    """``SurdSum.to_float`` as the package wrote it before it summed over
+    one common denominator: a ``Fraction`` per term, one float at the end."""
+    mid = Fraction(0)
+    for r, c in self.terms.items():
+        a, _ = _sqrt_bounds(r, bits)
+        mid += c * Fraction(a, 1 << bits)
+    return float(mid)
+
+
 def surd_step_bound_holds(point, m, values):
     """Whether step m's direction error is within 10(k+m)/m!, decided the
     way the step certificate did on every step before its integer lemma:
     the exact squared chordal distance against the squared bound, by
     ``SurdSum.sign``."""
-    err_sq = point.distance_sq(TargetPoint.from_ints(*values))
+    err_sq = surd_distance_sq(point, TargetPoint.from_ints(*values))
     bound = Fraction(10 * (len(values) + m), math.factorial(m)) ** 2
     return (SurdSum.rational(bound) - err_sq).sign() >= 0
 
@@ -526,9 +569,10 @@ def fraction_unit_squares(point):
 
 def surd_direction_error(point, values):
     """A step's printed direction error as the step certificate computed it
-    before ``_direction_error``: the exact squared distance as a ``SurdSum``,
-    evaluated at 256 bits."""
-    val = point.distance_sq(TargetPoint.from_ints(*values)).to_float(bits=256)
+    before it summed ints and ``Fraction``s: the exact squared distance
+    (``surd_distance_sq``) evaluated at 256 bits (``fraction_to_float``)."""
+    err_sq = surd_distance_sq(point, TargetPoint.from_ints(*values))
+    val = fraction_to_float(err_sq, 256)
     return math.sqrt(val) if val > 0 else 0.0
 
 

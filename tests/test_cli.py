@@ -31,9 +31,15 @@ def csv_writer_bytes(header, rows):
     return buf.getvalue().encode()
 
 
+def reject_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
+    if out.startswith("{"):
+        json.loads(out, parse_constant=reject_constant)
     return code, out, err
 
 
@@ -321,6 +327,25 @@ class TestBadInput:
                 None,
                 2,
             ),
+            # a NaN tolerance would count no violation
+            (
+                ["verify", "--builtin", "hyperplane-boundary", "--k", "3",
+                 "--M", "12", "--L", "4", "--tolerance", "nan", "--h", "nan"],
+                None,
+                1,
+            ),
+            (
+                ["verify", "--builtin", "hyperplane-boundary", "--k", "3",
+                 "--M", "12", "--L", "4", "--tolerance", "inf"],
+                None,
+                1,
+            ),
+            (
+                ["construct", "--builtin", "hyperplane-boundary", "--k", "3",
+                 "--M", "12", "--verify", "--h", "inf"],
+                None,
+                1,
+            ),
         ],
         ids=[
             "elements",
@@ -352,6 +377,9 @@ class TestBadInput:
             "tuples-past-str-limit",
             "sorted-net-past-str-limit",
             "net-audit-past-str-limit",
+            "verify-nan-tolerance",
+            "verify-infinite-tolerance",
+            "construct-verify-infinite-h",
         ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):
@@ -576,6 +604,9 @@ class TestReports:
         assert doc["separation_sq_exact"] == "2 - sqrt(3)"
         assert doc["with_repetition_min_dist"] < 1e-3
         assert doc["distinct_tail_min_dist"] > 0.1
+        code, out, _ = run(capsys, "demo-repetition", "--k", "4", "--M", "12")
+        assert code == 0
+        assert json.loads(out)["separation_sq_exact"] == "2 - 2/5*sqrt(15)"
 
 
 class TestArtifacts:

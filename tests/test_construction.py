@@ -310,8 +310,16 @@ class TestConstruct:
             (TargetSpec(kind=FULL_SPHERE, k=2), 110),
             (close_generators([TargetPoint.from_qr([(1, 1), (2, 3), (0, 1)])]), 200),
             (close_generators([TargetPoint.from_qr([(1, 2), (1, 3), (1, 5)])]), 150),
+            # step 8 is past the integer lemma and compares surds
+            (TargetSpec(kind=FULL_SPHERE, k=300), 8),
         ],
-        ids=["hyperplane-k3", "full-k2", "closure-1-2sqrt3-0", "closure-sqrt235"],
+        ids=[
+            "hyperplane-k3",
+            "full-k2",
+            "closure-1-2sqrt3-0",
+            "closure-sqrt235",
+            "full-k300",
+        ],
     )
     def test_direction_errors_equal_the_surd_evaluation(self, spec, M):
         for rec in construct(spec, M).steps:

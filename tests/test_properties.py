@@ -40,7 +40,6 @@ from directions.targets import (
     HYPERPLANE,
     TargetPoint,
     TargetSpec,
-    canonical_order,
     close_generators,
     dense_prefix,
     validate_target,
@@ -50,8 +49,10 @@ from oracles import (
     arc_covering_radius,
     brute_arrangement_count,
     brute_directions,
+    canonical_order,
     cmp_points,
     fraction_key_witnesses,
+    fraction_to_float,
     fraction_unit_squares,
     full_covering_radius,
     full_orbit_validation,
@@ -66,6 +67,7 @@ from oracles import (
     scalar_forward,
     scalar_net_index,
     scalar_repetition_min,
+    surd_distance_sq,
     surd_sum_repr,
     surd_to_float,
     trial_squarefree_split,
@@ -571,6 +573,8 @@ def test_surd_printer_and_evaluator_match_oracles(q, r, terms):
     assert s.to_float() == surd_to_float(s)
     total = SurdSum(terms)
     assert repr(total) == surd_sum_repr(total)
+    for bits in (64, 128, 256):
+        assert total.to_float(bits) == fraction_to_float(total, bits)
 
 
 TARGET_RADICANDS = st.sampled_from([1, 2, 3, 5, 6, 7])
@@ -585,6 +589,31 @@ def target_points(k):
         .filter(lambda pairs: any(q for q, _ in pairs))
         .map(TargetPoint.from_qr)
     )
+
+
+def int_points(k):
+    return (
+        st.lists(st.integers(0, 10**60), min_size=k, max_size=k)
+        .filter(any)
+        .map(lambda entries: TargetPoint.from_ints(*entries))
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    pair=st.integers(2, 5).flatmap(
+        lambda k: st.tuples(
+            target_points(k), st.one_of(target_points(k), int_points(k))
+        )
+    )
+)
+def test_distance_sq_matches_the_surd_product(pair):
+    # a step's squared error is the distance to an integer vector
+    a, b = pair
+    got, want = a.distance_sq(b), surd_distance_sq(a, b)
+    assert got.terms == want.terms
+    assert repr(got) == repr(want)
+    assert got.to_float(256) == fraction_to_float(want, 256)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

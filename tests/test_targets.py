@@ -18,7 +18,6 @@ from directions.targets import (
     HYPERPLANE,
     TargetPoint,
     TargetSpec,
-    canonical_order,
     close_generators,
     dense_prefix,
     enumerate_dense,
@@ -27,7 +26,7 @@ from directions.targets import (
     validate_target,
 )
 
-from oracles import float_closure, mp_unit
+from oracles import canonical_order, float_closure, mp_unit
 
 
 def keys(points):
