@@ -42,7 +42,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, fsum, inf, isfinite, prod, sqrt
 from typing import Sequence
 
@@ -217,6 +217,7 @@ def construct(spec: TargetSpec, M: int) -> GroundSet:
     """Run M construction steps and merge the entries into a ground set."""
     if M < 0:
         raise DomainError("step count must be >= 0")
+    check_budget(M * spec.k, "construction step entries (M k)")
     _require_valid(spec)
     state = ConstructionState()
     for point in dense_prefix(spec, M):
@@ -478,6 +479,7 @@ def repetition_demo(k: int, M: int) -> RepetitionReport:
         raise DomainError("the repetition demonstration needs k >= 3")
     if M < 2:
         raise DomainError("need at least two steps")
+    check_budget(M * k, "construction step entries (M k)")
     eta = TargetPoint.from_qr([(1, 1), (1, 2)] + [(0, 1)] * (k - 2))
     theta = TargetPoint.from_qr([(1, 1), (1, 2)] + [(1, 1)] * (k - 2))
     spec = close_generators([eta])
@@ -496,8 +498,12 @@ def repetition_demo(k: int, M: int) -> RepetitionReport:
     tail = [e for e in A.elements if e >= cutoff]
     if len(tail) < k:
         raise DomainError("tail too thin; increase M")
+    # normalize commutes with permutations (fsum is order-free), so each
+    # set of k tail entries is normalized once and its floats permuted
     dist_min = min(
-        distance(theta_u, normalize(tup)) for tup in permutations(tail, k)
+        distance(theta_u, p)
+        for tup in combinations(tail, k)
+        for p in permutations(normalize(tup))
     )
 
     best_sq = min(

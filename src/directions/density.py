@@ -399,9 +399,15 @@ def chain_check(
 ) -> tuple[DensityReport, DensityReport]:
     """Covering radii of the same ground set at dimensions k and k-1.
 
-    Density can only improve going down in dimension (append a fixed
-    coordinate and project), so eps_{k-1} <= eps_k + 2h is expected on
-    matched nets whenever the dimension-k cloud is reasonably dense; the
+    For exhaustive clouds eps_{k-1} <= eps_k + h is a theorem.  Take a
+    unit x at dimension k-1 and a tuple t whose direction is nearest
+    (x, 0).  Dropping t's last coordinate leaves a tuple t' of the
+    (k-1)-cloud (entries of A, distinct if t's were) with t'.x = t.(x, 0)
+    >= 0 and |t'| <= |t|, so t' is no farther in angle from x than t is
+    from (x, 0): the true radii satisfy R_{k-1} <= R_k.  A net radius is
+    at most the true one, which is at most it plus the net's mesh h, so
+    eps_{k-1} <= R_{k-1} <= R_k <= eps_k + h.  Sampled clouds draw their
+    two samples independently, so neither bound is implied for them.  The
     reverse direction has explicit counterexamples built from hyperplane
     targets, where eps_{k-1} stays small while eps_k does not.
     """

@@ -12,14 +12,17 @@ to signs of finite sums of such terms, so this module provides:
     numbers have a squarefree product.
 
 ``SurdSum``
-    a finite sum of terms with distinct radicands.  Signs of one- and
-    two-term sums are decided by comparing squares; longer sums are decided
-    by adaptive-precision integer intervals.  Distinct squarefree radicals
-    are linearly independent over the rationals, so a sum that is not
-    syntactically zero is numerically nonzero and the interval loop
-    terminates.  A precision cap guards the one escape hatch (a radicand
-    whose square part survived ``squarefree_split``); hitting the cap raises
-    instead of guessing.
+    a finite sum of terms with distinct radicands.  One integer fixed-point
+    sum evaluates it: over the lcm den of the coefficient denominators,
+    F = sum (c_r den) isqrt(r 4^bits).  ``to_float`` reads F as a floor,
+    F / (den 2^bits); ``sign`` reads it as an interval, each floor being
+    below 2^bits sqrt(r) by less than 1, and doubles the bits until the
+    interval excludes 0.  Two-term sums are decided by comparing squares,
+    with no precision cap.  Distinct squarefree radicals are linearly
+    independent over the rationals, so a sum that is not syntactically zero
+    is numerically nonzero and the loop terminates.  A precision cap guards
+    the one escape hatch (a radicand whose square part survived
+    ``squarefree_split``); hitting the cap raises instead of guessing.
 
 ``chord_sq``
     the squared chordal distance between two directions, 2 - 2 cos, from
@@ -88,12 +91,6 @@ def sqrt_floor(p: int, q: int = 1) -> int:
     if p < 0 or q <= 0:
         raise DomainError("sqrt_floor needs p >= 0 and q >= 1")
     return isqrt(p * q) // q
-
-
-def _sqrt_bounds(r: int, bits: int) -> tuple[int, int]:
-    # lo <= 2^bits * sqrt(r) <= hi with hi - lo <= 1
-    lo = isqrt(r << (2 * bits))
-    return lo, lo + 1
 
 
 @dataclass(frozen=True)
@@ -195,36 +192,30 @@ class SurdSum:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _fixed(self, bits: int) -> tuple[int, int, list[int]]:
+        """(F, den, n): den is the lcm of the coefficient denominators,
+        n_r = c_r den, and F = sum n_r floor(2^bits sqrt(r))."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        n = [c.numerator * (den // c.denominator) for c in self.terms.values()]
+        return sum(v * isqrt(r << 2 * bits) for v, r in zip(n, self.terms)), den, n
+
     def sign(self) -> int:
-        items = list(self.terms.items())
-        if not items:
+        if not self.terms:
             return 0
-        if len(items) == 1:
-            return 1 if items[0][1] > 0 else -1
-        if len(items) == 2:
-            (r1, c1), (r2, c2) = items
-            s1 = Surd(c1, r1)
-            s2 = Surd(-c2, r2)
-            return s1.compare(s2)
+        if len(self.terms) == 2:
+            (r1, c1), (r2, c2) = self.terms.items()
+            return Surd(c1, r1).compare(Surd(-c2, r2))
         bits = 64
         while bits <= PRECISION_CAP_BITS:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for r, c in items:
-                a, b = _sqrt_bounds(r, bits)
-                if c > 0:
-                    lo += c * Fraction(a, 1 << bits)
-                    hi += c * Fraction(b, 1 << bits)
-                else:
-                    lo += c * Fraction(b, 1 << bits)
-                    hi += c * Fraction(a, 1 << bits)
-            if lo > 0:
+            # den 2^bits times the sum lies in [F + sum n_r<0, F + sum n_r>0]
+            F, _, n = self._fixed(bits)
+            if F + sum(v for v in n if v < 0) > 0:
                 return 1
-            if hi < 0:
+            if F + sum(v for v in n if v > 0) < 0:
                 return -1
             bits *= 2
         raise PrecisionError(
-            f"sign of {len(items)}-term surd sum not certified within "
+            f"sign of {len(self.terms)}-term surd sum not certified within "
             f"{PRECISION_CAP_BITS} bits"
         )
 
@@ -232,15 +223,11 @@ class SurdSum:
         return (self - other).sign()
 
     def to_float(self, bits: int = 128) -> float:
-        """The float of the sum with each sqrt(r) floored at ``bits``: one
-        integer sum over a common denominator and one int/int division,
-        which rounds correctly, as float(Fraction) does."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        mid = sum(
-            c.numerator * (den // c.denominator) * _sqrt_bounds(r, bits)[0]
-            for r, c in self.terms.items()
-        )
-        return mid / (den << bits)
+        """The float of the sum with each sqrt(r) floored at ``bits``: the
+        fixed-point sum over den 2^bits, one int/int division, which rounds
+        correctly, as float(Fraction) does."""
+        F, den, _ = self._fixed(bits)
+        return F / (den << bits)
 
     def sqrt_to_float(self) -> float:
         """float(sqrt(self)); self must be nonnegative."""

@@ -14,18 +14,22 @@ search; the last sorts with ``canonical_order``, the package's sort by
 evaluator that ``exact`` replaced are kept as written too, and so are the
 ``Fraction`` sum of ``SurdSum.to_float`` and the squared distance that
 ``TargetPoint.distance_sq`` built by multiplying ``SurdSum``s before
-``exact.chord_sq``; they read the package's ``_sqrt_bounds`` and
-``squarefree_split``.  So is the ``np.linalg.norm`` body of
+``exact.chord_sq``; they take their own ``math.isqrt`` floors and read
+the package's ``squarefree_split``.  So is the ``Fraction`` interval loop
+that decided ``SurdSum.sign`` before one integer fixed-point sum did, with
+its own floors, doubling and cap.  So is the ``np.linalg.norm`` body of
 ``unit_rows``, the ``%s`` body of ``enumeration._write_csv``, the
 scalar sphere-net index and the meshgrid sphere net, whose row order is
 sphere_net order, and the surd comparison that certified a construction
 step's direction error before the integer lemma replaced it.  The
 per-tuple backward pass of ``verify_construction``, the per-point minimum
-of ``repetition_demo``, the surd evaluation of a step's printed direction
+of ``repetition_demo`` and its distinct tail normalized one ordered tuple
+at a time, the surd evaluation of a step's printed direction
 error and admissibility checked on ``Fraction`` keys are kept as the
 package wrote them before numpy screens and integer arithmetic took over.
-The first two call the package's own ``normalize``, ``distance`` and
-target distances, so they pin the screens, not those floats.  So is a
+The backward pass and the demo's minima call the package's own
+``normalize``, ``distance`` and target distances, so they pin the screens
+and the permuted floats, not those floats.  So is a
 point's key as the package cached it before a primitive integer vector
 became the point's identity: each coordinate squared over the squared norm.
 """
@@ -45,8 +49,8 @@ from scipy.spatial import cKDTree
 from directions.construction import _distance_to_target, _scale_ratio, construct
 from directions.core import SCALE_BITS, distance, normalize
 from directions.enumeration import _ITER_ROWS, directions
-from directions.errors import DomainError
-from directions.exact import Surd, SurdSum, _sqrt_bounds, squarefree_split
+from directions.errors import DomainError, PrecisionError
+from directions.exact import PRECISION_CAP_BITS, Surd, SurdSum, squarefree_split
 from directions.targets import (
     FINITE,
     TargetPoint,
@@ -375,14 +379,52 @@ def surd_distance_sq(a, b):
     return SurdSum.rational(2) - SurdSum(out)
 
 
+def sqrt_bounds(r, bits):
+    """(lo, lo + 1) around 2^bits sqrt(r), lo its floor."""
+    lo = math.isqrt(r << (2 * bits))
+    return lo, lo + 1
+
+
 def fraction_to_float(self, bits):
     """``SurdSum.to_float`` as the package wrote it before it summed over
     one common denominator: a ``Fraction`` per term, one float at the end."""
     mid = Fraction(0)
     for r, c in self.terms.items():
-        a, _ = _sqrt_bounds(r, bits)
+        a, _ = sqrt_bounds(r, bits)
         mid += c * Fraction(a, 1 << bits)
     return float(mid)
+
+
+def fraction_interval_sign(self):
+    """``SurdSum.sign`` as the package wrote it before one integer
+    fixed-point sum: one term by its coefficient, two by squares, more by a
+    ``Fraction`` interval per precision, doubled from 64 bits to the cap."""
+    items = list(self.terms.items())
+    if not items:
+        return 0
+    if len(items) == 1:
+        return 1 if items[0][1] > 0 else -1
+    if len(items) == 2:
+        (r1, c1), (r2, c2) = items
+        return Surd(c1, r1).compare(Surd(-c2, r2))
+    bits = 64
+    while bits <= PRECISION_CAP_BITS:
+        lo = Fraction(0)
+        hi = Fraction(0)
+        for r, c in items:
+            a, b = sqrt_bounds(r, bits)
+            if c > 0:
+                lo += c * Fraction(a, 1 << bits)
+                hi += c * Fraction(b, 1 << bits)
+            else:
+                lo += c * Fraction(b, 1 << bits)
+                hi += c * Fraction(a, 1 << bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        bits *= 2
+    raise PrecisionError(f"not certified within {PRECISION_CAP_BITS} bits")
 
 
 def surd_step_bound_holds(point, m, values):
@@ -420,7 +462,7 @@ def surd_to_float(self):
     if self.q == 0:
         return 0.0
     bits = 64
-    lo, _ = _sqrt_bounds(self.r, bits)
+    lo, _ = sqrt_bounds(self.r, bits)
     return float(self.q * Fraction(lo, 1 << bits))
 
 
@@ -558,6 +600,18 @@ def scalar_repetition_min(k, M):
     cloud = directions(construct(close_generators([eta]), M), k)
     theta_u = theta.unit()
     return min(distance(theta_u, u) for u in map(tuple, cloud.unit_points()))
+
+
+def scalar_distinct_tail_min(k, M):
+    """``repetition_demo``'s distinct_tail_min_dist, every ordered tail
+    tuple normalized on its own."""
+    eta = TargetPoint.from_qr([(1, 1), (1, 2)] + [(0, 1)] * (k - 2))
+    theta = TargetPoint.from_qr([(1, 1), (1, 2)] + [(1, 1)] * (k - 2))
+    A = construct(close_generators([eta]), M)
+    cutoff = max(A.steps[(M + 1) // 2 - 1].values)
+    tail = [e for e in A.elements if e >= cutoff]
+    theta_u = theta.unit()
+    return min(distance(theta_u, normalize(tup)) for tup in permutations(tail, k))
 
 
 def fraction_unit_squares(point):

@@ -136,6 +136,43 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["k"] == 9
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--builtin", "orthant-sphere-full", "--k",
+             "300000000", "--M", "1"],
+            ["verify", "--builtin", "hyperplane-boundary", "--k", "300000000",
+             "--M", "2", "--L", "1"],
+            ["demo-repetition", "--k", "300000000", "--M", "2"],
+            ["chain", "--builtin", "orthant-sphere-full", "--k", "300000000",
+             "--M", "1", "--h", "0.5"],
+        ],
+        ids=["construct", "verify", "demo", "chain"],
+    )
+    def test_huge_dimension_is_charged_before_it_is_built(self, argv):
+        # M k step entries go through the budget before a k-vector exists;
+        # the 1 GB address-space cap turns a missed charge into a
+        # MemoryError instead of gigabytes of allocation
+        resource = pytest.importorskip("resource")
+        src = str(Path(directions.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop("DIRECTIONS_BUDGET", None)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "directions.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("resource error:")
+
     def test_k6_exhaustive_density_charges_the_sorted_net(self, capsys, monkeypatch):
         # at k=6, h=0.2 the net has 158,503,681 points, over the default
         # budget, of which exhaustive clouds query the 324,632 sorted ones;

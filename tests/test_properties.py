@@ -6,7 +6,7 @@ import tempfile
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import cycle, islice, permutations
-from math import comb, factorial, gcd, nextafter, prod
+from math import comb, factorial, gcd, isqrt, nextafter, prod
 from unittest import mock
 
 import mpmath
@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from directions import density
 from directions.construction import construct, repetition_demo, verify_construction
 from directions.core import scaled_floats
-from directions.density import covering_radius, sphere_net
+from directions.density import chain_check, covering_radius, sphere_net
 from directions.enumeration import (
     _ITER_ROWS,
     _divide_gcd,
@@ -32,7 +32,7 @@ from directions.enumeration import (
     orbit_rows,
     unit_rows,
 )
-from directions.errors import DomainError, ResourceError
+from directions.errors import DomainError, PrecisionError, ResourceError
 from directions.exact import Surd, SurdSum, squarefree_split
 from directions.targets import (
     FINITE,
@@ -51,6 +51,7 @@ from oracles import (
     brute_directions,
     canonical_order,
     cmp_points,
+    fraction_interval_sign,
     fraction_key_witnesses,
     fraction_to_float,
     fraction_unit_squares,
@@ -64,6 +65,7 @@ from oracles import (
     mp_surd_sign,
     percent_s_csv,
     scalar_backward,
+    scalar_distinct_tail_min,
     scalar_forward,
     scalar_net_index,
     scalar_repetition_min,
@@ -197,6 +199,22 @@ def test_split_trees_keep_chamber_radius():
     with mock.patch.object(density, "_usable_cpus", lambda: 3), \
             mock.patch.object(density, "_PART_FLOOR", 1):
         test_chamber_radius_matches_full_cloud()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    elements=st.sets(st.integers(1, 40), min_size=1, max_size=6),
+    k=st.integers(3, 4),
+    h=st.sampled_from([0.2, 0.3, 0.5]),
+    distinct=st.booleans(),
+)
+def test_exhaustive_chain_drops_at_most_h(elements, k, h, distinct):
+    # dropping a tuple's last coordinate never widens its angle to (x, 0),
+    # so the true radius at k - 1 is at most the one at k, and each net
+    # radius is within h of the true one
+    assume(not distinct or len(elements) >= k)
+    top, down = chain_check(explicit_ground_set(sorted(elements)), k, h, distinct)
+    assert down.covering_radius <= top.covering_radius + h + 1e-12
 
 
 def worst_case(k, n, m, layout, seed):
@@ -555,6 +573,38 @@ def test_surd_sign_matches_mpmath(terms, bits, nudge):
     assert s.sign() == want
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.sampled_from([1] + SURD_RADICANDS), COEFFS, min_size=1, max_size=5
+    ),
+    bits=st.one_of(
+        st.none(),
+        st.integers(0, 300),
+        st.integers(8_000, 16_384),
+        st.integers(16_385, 20_000),
+    ),
+    nudge=st.integers(-1, 1),
+)
+@example(terms={2: Fraction(1), 3: Fraction(1), 5: Fraction(-1)}, bits=100, nudge=0)
+@example(terms={2: Fraction(1), 3: Fraction(1)}, bits=17_000, nudge=0)
+def test_surd_sign_matches_fraction_interval(terms, bits, nudge):
+    # with bits, a rational term replaces any drawn one and cancels at most
+    # four surds to within 2^-bits; past the 16,384-bit cap both refuse
+    if bits is not None:
+        terms = dict(islice(((r, c) for r, c in terms.items() if r != 1), 4))
+        floor = sum(c * isqrt(r << 2 * bits) for r, c in terms.items())
+        terms[1] = -Fraction(floor + nudge, 1 << bits)
+    s = SurdSum(terms)
+    try:
+        want = fraction_interval_sign(s)
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            s.sign()
+    else:
+        assert s.sign() == want
+
+
 # zero, unit and negative coefficients take their own printing branches
 PRINTED_COEFFS = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), COEFFS
@@ -804,6 +854,16 @@ def test_verification_edge_tails_match_scalar_passes():
 def test_repetition_min_matches_scalar_minimum(k, M):
     got = repetition_demo(k, M).with_repetition_min_dist
     assert got.hex() == scalar_repetition_min(k, M).hex()
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(k=st.integers(3, 4), M=st.integers(2, 16))
+def test_distinct_tail_min_matches_every_ordered_tuple(k, M):
+    try:
+        got = repetition_demo(k, M).distinct_tail_min_dist
+    except DomainError:  # a tail thinner than k
+        assume(False)
+    assert got.hex() == scalar_distinct_tail_min(k, M).hex()
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
