@@ -45,7 +45,7 @@ from .enumeration import (
     ground_set,
 )
 from .errors import DirectionsError, ResourceError
-from .targets import load_spec, TargetSpec, FULL_SPHERE, HYPERPLANE
+from .targets import BUILTIN, TargetSpec, load_spec
 
 SCHEMA_VERSION = 1
 
@@ -104,7 +104,7 @@ def _spec_args(sub: argparse.ArgumentParser) -> None:
     grp.add_argument("--spec", help="target spec JSON file")
     grp.add_argument(
         "--builtin",
-        choices=[FULL_SPHERE, HYPERPLANE],
+        choices=BUILTIN,
         help="use a built-in target kind instead of a spec file",
     )
     sub.add_argument(
@@ -181,7 +181,7 @@ def build_parser() -> _Parser:
     grp.add_argument("--rule")
     grp.add_argument("--elements", type=_int_list)
     grp.add_argument("--spec", help="construct from this target spec, then compare")
-    grp.add_argument("--builtin", choices=[FULL_SPHERE, HYPERPLANE])
+    grp.add_argument("--builtin", choices=BUILTIN)
     s.add_argument("--N", type=int)
     s.add_argument("--M", type=int, help="construction steps when using --spec/--builtin")
     s.add_argument("--k", type=int, required=True)

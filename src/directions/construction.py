@@ -44,11 +44,10 @@ from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
 from itertools import combinations, permutations, product
 from math import factorial, fsum, inf, isfinite, prod, sqrt
-from typing import Sequence
 
 import numpy as np
 
-from .core import SCALE_BITS, FloatVec, distance, norm, normalize, primitive
+from .core import SCALE_BITS, _bracket, distance, norm, normalize, primitive
 from .enumeration import (
     _ITER_ROWS,
     GroundSet,
@@ -59,9 +58,6 @@ from .enumeration import (
 from .errors import CertificateError, DomainError
 from .exact import SurdSum, chord_sq, sqrt_floor
 from .targets import (
-    FINITE,
-    FULL_SPHERE,
-    HYPERPLANE,
     TargetPoint,
     TargetSpec,
     _coord_to_json,
@@ -188,7 +184,7 @@ def construct_step(
         if lead not in state.ratio_registry:
             break
     else:
-        raise AssertionError(f"step {m}: every shift collides in the registry")
+        raise CertificateError(f"step {m}: every shift collides in the registry")
     values = tuple(v + t for v in pre)
     err = _check_step_certificates(point, m, values)
     state.ratio_registry.add(lead)
@@ -248,43 +244,9 @@ def dump_construction(A: GroundSet, path: str) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
-def _hyperplane_distance(x: Sequence[float]) -> float:
-    # nearest direction with a zero coordinate drops the smallest one
-    small = min(x)
-    if small <= 0.0:
-        return 0.0
-    return sqrt(max(0.0, 2.0 - 2.0 * sqrt(max(0.0, 1.0 - small * small))))
-
-
-def _distance_to_target(
-    spec: TargetSpec, point_units: Sequence[FloatVec], x: Sequence[float]
-) -> float:
-    if spec.kind == FULL_SPHERE:
-        return 0.0
-    if spec.kind == HYPERPLANE:
-        return _hyperplane_distance(x)
-    return min(distance(x, u) for u in point_units)
-
-
 def _scale_ratio(m_small: int, m_big: int) -> float:
     # m_small! / m_big!; int/int division underflows to 0.0, never overflows
     return 1 / prod(range(m_small + 1, m_big + 1))
-
-
-# A numpy distance over coordinate differences equal to Python's, bit for
-# bit, rounds and sums the squares in another way: it stays within a relative
-# k eps of core.distance, plus about sqrt(k) 2^-537 where squares underflow.
-# The bracket is far wider, so it always holds core.distance.
-_BAND = 2.0**-30
-_FLOOR = 2.0**-500
-
-
-def _bracket(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) per row of coordinate differences with lo <= core.distance
-    <= hi; an all-zero row is exactly 0."""
-    d = np.sqrt(np.add.reduce(diff * diff, axis=1))
-    slack = d * _BAND + np.where(diff.any(axis=1), _FLOOR, 0.0)
-    return d - slack, d + slack
 
 
 def _fsum_roots(squares: np.ndarray) -> np.ndarray:
@@ -342,11 +304,10 @@ def verify_construction(
     k = len(A.steps[0].values)
 
     step_dirs = [normalize(rec.values) for rec in A.steps[:M]]
-    forward = 0.0
-    for point in dense_prefix(spec, M)[L_index:]:
-        u = point.unit()
-        d = min(distance(u, sd) for sd in step_dirs)
-        forward = max(forward, d)
+    forward = max(
+        min(distance(u, sd) for sd in step_dirs)
+        for u in [point.unit() for point in dense_prefix(spec, M)[L_index:]]
+    )
 
     cutoff = max(A.steps[L_index - 1].values)
     tail = [e for e in A.elements if e >= cutoff]
@@ -362,7 +323,6 @@ def verify_construction(
         for i, v in enumerate(rec.values):
             origins_of.setdefault(v, []).append((i, rec.step))
     scale_ratio = cache(_scale_ratio)  # few (m, m_big) pairs, many picks
-    point_units = [p.unit() for p in spec.points]
 
     def backward(tup: tuple[int, ...]) -> tuple[float, float]:
         """(residual, distance to the target) of one tail tuple."""
@@ -376,7 +336,7 @@ def verify_construction(
             pred = tuple(units[m][i] * scale_ratio(m, m_big) for i, m in pick)
             d = distance(actual, normalize(pred)) if norm(pred) else sqrt(2)
             best = min(best, d)
-        return best, _distance_to_target(spec, point_units, actual)
+        return best, spec.distance(actual)
 
     # The screen redoes normalize's floats in numpy for tuples of elements
     # below 2^SCALE_BITS with one origin each: float(e) over the root of the
@@ -419,15 +379,7 @@ def verify_construction(
             settle = (lo <= tolerance) & (hi > tolerance)
             if len(rows):
                 settle |= (hi > back_residual) & (hi >= lo.max())
-                if spec.kind == HYPERPLANE:  # grows with the smallest entry
-                    settle[np.argmax(actual.min(axis=1))] = True
-                elif spec.kind == FINITE:
-                    near_lo = near_hi = np.full(len(rows), inf)
-                    for u in point_units:
-                        a, b = _bracket(actual - u)
-                        near_lo = np.minimum(near_lo, a)
-                        near_hi = np.minimum(near_hi, b)
-                    settle |= (near_hi > back_haus) & (near_hi >= near_lo.max())
+                settle |= spec.far_rows(actual, back_haus)
             violations += orbit * int(np.sum((lo > tolerance) & ~settle))
             exact = np.ones(len(idx), dtype=bool)
             exact[rows[~settle]] = False

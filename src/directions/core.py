@@ -97,3 +97,19 @@ def distance(x: Sequence[float], y: Sequence[float]) -> float:
     if len(x) != len(y):
         raise DomainError("dimension mismatch")
     return sqrt(fsum((a - b) ** 2 for a, b in zip(x, y)))
+
+
+# A numpy distance over coordinate differences equal to Python's, bit for
+# bit, rounds and sums the squares in another way: it stays within a relative
+# k eps of distance, plus about sqrt(k) 2^-537 where squares underflow.  The
+# bracket is far wider, so it always holds distance.
+_BAND = 2.0**-30
+_FLOOR = 2.0**-500
+
+
+def _bracket(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) per row of coordinate differences with lo <= distance <= hi;
+    an all-zero row is exactly 0."""
+    d = np.sqrt(np.add.reduce(diff * diff, axis=1))
+    slack = d * _BAND + np.where(diff.any(axis=1), _FLOOR, 0.0)
+    return d - slack, d + slack

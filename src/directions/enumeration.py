@@ -49,8 +49,8 @@ _INT64_LIMIT = 1 << 62
 
 _CHUNK = 1 << 20
 
-# rows per slice of Python objects when iterating or writing, and per block of
-# unit rows, to bound peak memory
+# rows per slice of Python objects when writing, and per block of unit rows,
+# to bound peak memory
 _ITER_ROWS = 1 << 14
 
 
@@ -188,20 +188,15 @@ class DirectionCloud:
         return len(self.rows) == 0
 
     def as_set(self) -> set[tuple[int, ...]]:
-        return set(self)
+        return set(map(tuple, self._full_rows.tolist()))
 
     @cached_property
     def _full_rows(self) -> np.ndarray:
         """Every row, lexicographic; a chamber is expanded once per cloud."""
         return self.rows if self.sampled else orbit_rows(self.rows)
 
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        rows = self._full_rows
-        for start in range(0, len(rows), _ITER_ROWS):
-            yield from map(tuple, rows[start : start + _ITER_ROWS].tolist())
-
     def unit_points(self) -> np.ndarray:
-        """Float unit vectors, one row per direction, in iteration order."""
+        """Float unit vectors, one row per direction, in ``_full_rows`` order."""
         if self.is_empty:
             return np.zeros((0, self.k))
         return unit_rows(self._full_rows)

@@ -1,8 +1,10 @@
 """Candidate accumulation sets on the orthant sphere.
 
 A target set is described either by finitely many exact points (coordinates
-q*sqrt(r)) or by one of two built-in infinite families (the full orthant
-sphere and the union of coordinate hyperplanes).
+q*sqrt(r)) or as a built-in S_{<=j}, the directions with at most j nonzero
+coordinates: ``BUILTIN[k - j]`` names the full orthant sphere (j = k) and
+the union of coordinate hyperplanes (j = k - 1).  A spec owns its dense
+sequence, its distance and the far rows of a numpy distance screen.
 
 Admissibility of a finite set means: closed under coordinate permutations
 and closed under zero-out-and-renormalize for every index set that meets the
@@ -12,7 +14,7 @@ both symmetries act on it.  ``close_generators`` produces the smallest
 admissible superset of its input; ``validate_target`` checks the
 conditions exactly on those vectors and returns witnesses for any failure.
 
-Each target kind has one deterministic sequence of points dense in the
+Each target set has one deterministic sequence of points dense in the
 target set.  Construction consumes its first M points, ``dense_prefix``,
 so the order is part of the package contract and must never change
 between releases; ``enumerate_dense`` returns one point of it.
@@ -25,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, count, cycle, islice, product
-from math import comb, gcd, lcm
+from math import comb, gcd, inf, lcm, sqrt
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import FloatVec, normalize
+from .core import FloatVec, _bracket, distance, normalize
 from .enumeration import check_budget, orbit_rows, orbit_sizes
 from .errors import DomainError
 from .exact import Surd, SurdSum, chord_sq
@@ -38,7 +40,7 @@ from .exact import Surd, SurdSum, chord_sq
 FINITE = "finite-set"
 FULL_SPHERE = "orthant-sphere-full"
 HYPERPLANE = "hyperplane-boundary"
-_KINDS = (FINITE, FULL_SPHERE, HYPERPLANE)
+BUILTIN = (FULL_SPHERE, HYPERPLANE)  # BUILTIN[k - j] is S_{<=j}
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,7 @@ class TargetSpec:
     points: tuple[TargetPoint, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in (FINITE, *BUILTIN):
             raise DomainError(f"unknown target kind {self.kind!r}")
         if self.k < 2:
             raise DomainError("dimension must be >= 2")
@@ -141,6 +143,41 @@ class TargetSpec:
         for p in self.points:
             if p.k != self.k:
                 raise DomainError("point dimension does not match spec")
+
+    @cached_property
+    def codim(self) -> int:
+        """k - j of a built-in S_{<=j}, its index in ``BUILTIN``."""
+        return BUILTIN.index(self.kind)
+
+    @cached_property
+    def _units(self) -> list[FloatVec]:
+        return [p.unit() for p in self.points]
+
+    def distance(self, x: Sequence[float]) -> float:
+        """Chordal distance from the unit direction x to the set: for
+        S_{<=j}, sqrt(2 - 2 sqrt(1 - z)) with z the sum of the squares of the
+        k - j smallest entries (the nearest point keeps the j largest); for
+        a finite set, the least ``core.distance``."""
+        if self.kind == FINITE:
+            return min(distance(x, u) for u in self._units)
+        z = 0.0
+        for c in sorted(x)[: self.codim]:
+            z += c * c
+        return sqrt(max(0.0, 2.0 - 2.0 * sqrt(max(0.0, 1.0 - z))))
+
+    def far_rows(self, units: np.ndarray, floor: float) -> np.ndarray:
+        """Mask of the unit rows whose ``distance`` may be the largest and
+        above floor >= 0: for S_{<=j} the row of largest z > 0, as distance
+        grows with z; for a finite set each row whose bracket may be both."""
+        if self.kind == FINITE:
+            near_lo = near_hi = np.full(len(units), inf)
+            for u in self._units:
+                a, b = _bracket(units - u)
+                near_lo = np.minimum(near_lo, a)
+                near_hi = np.minimum(near_hi, b)
+            return (near_hi > floor) & (near_hi >= near_lo.max())
+        z = np.square(np.sort(units, axis=1)[:, : self.codim]).sum(axis=1)
+        return (np.arange(len(units)) == np.argmax(z)) & (z > 0)
 
 
 @dataclass(frozen=True)
@@ -230,7 +267,7 @@ def close_generators(points: Sequence[TargetPoint]) -> TargetSpec:
 
 def validate_target(spec: TargetSpec) -> ValidityReport:
     """Check admissibility exactly; built-in kinds pass by proof."""
-    if spec.kind in (FULL_SPHERE, HYPERPLANE):
+    if spec.kind in BUILTIN:
         return ValidityReport(True, True, ())
     vecs = [p.squares for p in spec.points]
     keys = set(vecs)
@@ -248,17 +285,17 @@ def validate_target(spec: TargetSpec) -> ValidityReport:
     )
 
 
-def _orthant_directions(k: int, need_zero: bool) -> Iterator[TargetPoint]:
-    """All primitive integer directions, by max entry, then support size,
-    then support position, then entries, each lexicographically.
+def _orthant_directions(k: int, j: int) -> Iterator[TargetPoint]:
+    """All primitive integer directions with at most j nonzero entries, by
+    max entry, then support size, then support position, then entries, each
+    lexicographically.
 
-    With need_zero, only vectors with at least one zero coordinate (the
-    hyperplane union).  The order is frozen: constructed ground sets and
-    stored artifacts depend on it.  Each level is generated in that order,
-    one support at a time, so no level is held or sorted.
+    The order is frozen: constructed ground sets and stored artifacts depend
+    on it.  Each level is generated in that order, one support at a time,
+    so no level is held or sorted.
     """
     for top in count(1):
-        for size in range(1, k if need_zero else k + 1):
+        for size in range(1, j + 1):
             for support in combinations(range(k), size):
                 for entries in product(range(1, top + 1), repeat=size):
                     if top in entries and gcd(*entries) == 1:
@@ -272,11 +309,10 @@ def _dense_sequence(spec: TargetSpec) -> Iterator[TargetPoint]:
     """The spec's dense sequence, from its first point on."""
     if spec.kind == FINITE:
         return cycle(spec.points)
-    points = _orthant_directions(spec.k, need_zero=spec.kind == HYPERPLANE)
-    if spec.kind == HYPERPLANE and spec.k == 2:
-        # the union is the finite set {(1, 0), (0, 1)}, all at level 1
-        return cycle(islice(points, 2))
-    return points
+    j = spec.k - spec.codim
+    points = _orthant_directions(spec.k, j)
+    # S_{<=1} is the k axis points, all at level 1
+    return cycle(islice(points, spec.k)) if j == 1 else points
 
 
 def enumerate_dense(spec: TargetSpec, m: int) -> TargetPoint:
@@ -340,7 +376,7 @@ def load_spec(path: str) -> TargetSpec:
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed spec file {path!r}: {exc!r}") from exc
-    if kind in (FULL_SPHERE, HYPERPLANE):
+    if kind in BUILTIN:
         return TargetSpec(kind=kind, k=k)
     if kind != FINITE:
         raise DomainError(f"cannot load target kind {kind!r}")

@@ -28,8 +28,11 @@ at a time, the surd evaluation of a step's printed direction
 error and admissibility checked on ``Fraction`` keys are kept as the
 package wrote them before numpy screens and integer arithmetic took over.
 The backward pass and the demo's minima call the package's own
-``normalize``, ``distance`` and target distances, so they pin the screens
-and the permuted floats, not those floats.  So is a
+``normalize`` and ``distance``, so they pin the screens and the permuted
+floats, not those floats; the backward pass keeps its own copies of the
+target distances (the S_{<=j} closed form and the finite minimum) and of
+the scale ratio, written as the package computes them, so the report's
+floats can be compared bit for bit.  So is a
 point's key as the package cached it before a primitive integer vector
 became the point's identity: each coordinate squared over the squared norm.
 """
@@ -46,13 +49,15 @@ import mpmath
 import numpy as np
 from scipy.spatial import cKDTree
 
-from directions.construction import _distance_to_target, _scale_ratio, construct
+from directions.construction import construct
 from directions.core import SCALE_BITS, distance, normalize
-from directions.enumeration import _ITER_ROWS, directions
+from directions.enumeration import directions
 from directions.errors import DomainError, PrecisionError
 from directions.exact import PRECISION_CAP_BITS, Surd, SurdSum, squarefree_split
 from directions.targets import (
     FINITE,
+    FULL_SPHERE,
+    HYPERPLANE,
     TargetPoint,
     TargetSpec,
     close_generators,
@@ -158,9 +163,10 @@ def float_closure(points, tol=1e-9):
     return seen
 
 
-def level_sorted_directions(k, need_zero):
-    """All primitive integer directions, by max entry, then support size,
-    then support position, then entries, each lexicographically.
+def level_sorted_directions(k, j):
+    """All primitive integer directions with at most j nonzero entries, by
+    max entry, then support size, then support position, then entries, each
+    lexicographically.
 
     The package's dense sequence before it generated each level in order:
     every level of (top+1)^k vectors is built, filtered and sorted before
@@ -171,7 +177,7 @@ def level_sorted_directions(k, need_zero):
         for vec in itertools.product(range(top + 1), repeat=k):
             if max(vec) != top:
                 continue
-            if need_zero and 0 not in vec:
+            if k - vec.count(0) > j:
                 continue
             g = 0
             for c in vec:
@@ -500,14 +506,17 @@ def linalg_unit_rows(rows):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+CSV_ROWS = 4096  # rows per slice; the bytes do not depend on it
+
+
 def percent_s_csv(path, header, rows):
     """``enumeration._write_csv`` as the package wrote it before token tables:
     one ``%s`` format per slice of rows, every array kind alike."""
     line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _ITER_ROWS):
-            chunk = rows[start : start + _ITER_ROWS]
+        for start in range(0, len(rows), CSV_ROWS):
+            chunk = rows[start : start + CSV_ROWS]
             fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
@@ -557,6 +566,46 @@ def scalar_forward(A, spec, M, L_index):
     return forward
 
 
+def family_distance(x, j):
+    """Chordal distance from the unit vector x to S_{<=j}: the nearest point
+    keeps the j largest entries, so 2 - 2 sqrt(1 - z) for z the sum of the
+    squares of the others, in the package's float operations."""
+    z = sum(c * c for c in sorted(x)[: len(x) - j])
+    return math.sqrt(max(0.0, 2.0 - 2.0 * math.sqrt(max(0.0, 1.0 - z))))
+
+
+def brute_family_distance(x, j, dps=50):
+    """The least chordal distance from x to each restriction of x to an
+    index set of size j, renormalised, in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(c) for c in x]
+        xs = [c / mpmath.sqrt(mpmath.fsum(c * c for c in xs)) for c in xs]
+        best = None
+        for keep in itertools.combinations(range(len(xs)), j):
+            part = [c if i in keep else mpmath.mpf(0) for i, c in enumerate(xs)]
+            size = mpmath.sqrt(mpmath.fsum(c * c for c in part))
+            if size == 0:
+                continue
+            d = mpmath.sqrt(mpmath.fsum((a - b / size) ** 2 for a, b in zip(xs, part)))
+            best = d if best is None else min(best, d)
+        return best
+
+
+def target_distance(spec, point_units, x):
+    """Distance from x to the target set: the S_{<=j} closed form for a
+    built-in kind, else the least distance to a point."""
+    if spec.kind == FULL_SPHERE:
+        return family_distance(x, spec.k)
+    if spec.kind == HYPERPLANE:
+        return family_distance(x, spec.k - 1)
+    return min(distance(x, u) for u in point_units)
+
+
+def scale_ratio(m_small, m_big):
+    """m_small! / m_big! as one int/int division, 0.0 when it underflows."""
+    return 1 / math.prod(range(m_small + 1, m_big + 1))
+
+
 def scalar_backward(A, spec, M, L_index):
     """(residual, distance to the target) of every sorted tail tuple, in
     ``combinations`` order; raises the DomainError of the first bad tuple.
@@ -583,12 +632,12 @@ def scalar_backward(A, spec, M, L_index):
         best = math.inf
         for pick in itertools.product(*origins):
             m_big = max(m for _, m in pick)
-            pred = tuple(units[m][i] * _scale_ratio(m, m_big) for i, m in pick)
+            pred = tuple(units[m][i] * scale_ratio(m, m_big) for i, m in pick)
             if math.sqrt(math.fsum(c * c for c in pred)) == 0.0:
                 best = min(best, math.sqrt(2))
             else:
                 best = min(best, distance(actual, normalize(pred)))
-        out.append((best, _distance_to_target(spec, point_units, actual)))
+        out.append((best, target_distance(spec, point_units, actual)))
     return out
 
 

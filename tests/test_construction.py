@@ -1,5 +1,6 @@
 """Greedy realization of target sets and its certificates."""
 
+import copy
 import json
 import math
 import os
@@ -179,6 +180,22 @@ class TestConstructStep:
         assert sum((c - f) ** 2 for c, f in zip(values, floors)) > 100 * 304**2
         with mock.patch.object(SurdSum, "sign", side_effect=AssertionError):
             _check_step_certificates(e0, 4, values)
+
+    def test_every_shift_colliding_is_a_certificate_error(self):
+        # the registry already holds (pre_0 + t, pre_1 + t), reduced, for
+        # every shift t in 1..m: no fresh leading-pair ratio is left
+        points = dense_prefix(TargetSpec(kind=HYPERPLANE, k=3), 3)
+        state = ConstructionState()
+        for point in points[:2]:
+            construct_step(point, state)
+        probe = copy.deepcopy(state)
+        construct_step(points[2], probe)
+        rec = probe.records[-1]
+        pre = [v - rec.tie_break for v in rec.values]
+        state.ratio_registry |= {primitive((pre[0] + t, pre[1] + t)) for t in (1, 2, 3)}
+        with pytest.raises(CertificateError, match="every shift collides"):
+            construct_step(points[2], state)
+        assert len(state.records) == 2
 
     def test_certificates_survive_optimize(self):
         # python -O strips asserts; a certificate must still raise there

@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from directions import density
 from directions.construction import construct, repetition_demo, verify_construction
-from directions.core import scaled_floats
+from directions.core import normalize, scaled_floats
 from directions.density import chain_check, covering_radius, sphere_net
 from directions.enumeration import (
     _ITER_ROWS,
@@ -49,8 +49,10 @@ from oracles import (
     arc_covering_radius,
     brute_arrangement_count,
     brute_directions,
+    brute_family_distance,
     canonical_order,
     cmp_points,
+    family_distance,
     fraction_interval_sign,
     fraction_key_witnesses,
     fraction_to_float,
@@ -154,7 +156,7 @@ def test_directions_match_oracle(elements, k, distinct):
     # a shift of 62 moves every element past int64 into object arrays
     for shift in (0, 62):
         A = explicit_ground_set([e << shift for e in elements])
-        got = list(directions(A, k, distinct))
+        got = list(map(tuple, directions(A, k, distinct)._full_rows.tolist()))
         assert got == sorted(brute_directions(A.elements, k, distinct))
 
 
@@ -167,9 +169,11 @@ def test_scale_invariance(elements, k, distinct, sample):
     assume(not distinct or len(elements) >= k)
     A = explicit_ground_set(elements)
     wide = explicit_ground_set([e << 62 for e in elements])
-    assert list(directions(A, k, distinct, sample=sample, seed=5)) == list(
-        directions(wide, k, distinct, sample=sample, seed=5)
+    got, want = (
+        directions(G, k, distinct, sample=sample, seed=5)._full_rows.tolist()
+        for G in (wide, A)
     )
+    assert got == want
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -759,6 +763,58 @@ def test_validation_witnesses_match_fraction_keys(gens, scale, rnd):
     assert rep.witnesses == fraction_key_witnesses(kept)
 
 
+def unit_vectors(k):
+    """Unit vectors of k entries drawn from 0 and [2^-30, 1]."""
+    entry = st.one_of(st.just(0.0), st.floats(2**-30, 1))
+    return st.lists(entry, min_size=k, max_size=k).filter(any).map(normalize)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(x=st.integers(2, 5).flatmap(unit_vectors))
+def test_family_distance_matches_mpmath_minimum(x):
+    # the S_{<=j} closed form against the least distance from x to its
+    # restrictions to j coordinates, at 50 digits.  Its square is 2 minus a
+    # float near 2, so it is off by a few 2^-53 at most: d is within
+    # relative 1e-12 from d = 2^-5 on, and within 2^-50 / d below
+    k = len(x)
+    for j in range(1, k + 1):
+        got, want = family_distance(x, j), float(brute_family_distance(x, j))
+        assert abs(got**2 - want**2) <= 1e-12 * want**2 + 2**-50
+        if want >= 2**-5:
+            assert abs(got - want) <= 1e-12 * want
+    for kind in (FULL_SPHERE, HYPERPLANE):
+        spec = TargetSpec(kind=kind, k=k)
+        assert spec.distance(x).hex() == family_distance(x, k - spec.codim).hex()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    spec=st.one_of(
+        st.sampled_from([FULL_SPHERE, HYPERPLANE]).flatmap(
+            lambda kind: st.builds(TargetSpec, st.just(kind), st.integers(2, 5))
+        ),
+        st.integers(2, 5).flatmap(target_points).map(lambda g: close_generators([g])),
+    ),
+    data=st.data(),
+)
+def test_far_rows_hold_the_farthest_row(spec, data):
+    # the verify screen settles only far_rows for the target distance, so
+    # a row of the largest distance above floor must be among them; the
+    # set's own points are drawn too, at distance 0 or a rounding from it
+    rows = data.draw(st.lists(unit_vectors(spec.k), min_size=1, max_size=12))
+    if spec.points:
+        rows += data.draw(st.lists(st.sampled_from([p.unit() for p in spec.points])))
+    dists = [spec.distance(x) for x in rows]
+    floor = data.draw(
+        st.sampled_from([0.0] + dists + [nextafter(d, 0.0) for d in dists]),
+        label="floor",
+    )
+    far = spec.far_rows(np.array(rows), floor)
+    top = max(dists)
+    if top > floor:
+        assert any(far[i] for i, d in enumerate(dists) if d == top)
+
+
 def assert_verification_matches_scalar(A, spec, M, L, tolerances):
     """Every report float and count equals the scalar passes', bit for bit,
     or both raise the same DomainError."""
@@ -783,6 +839,7 @@ def assert_verification_matches_scalar(A, spec, M, L, tolerances):
 VERIFY_SPECS = [
     TargetSpec(kind=HYPERPLANE, k=2),
     TargetSpec(kind=HYPERPLANE, k=3),
+    TargetSpec(kind=HYPERPLANE, k=4),
     TargetSpec(kind=FULL_SPHERE, k=2),
     TargetSpec(kind=FULL_SPHERE, k=3),
     close_generators([TargetPoint.from_ints(1, 2)]),
@@ -843,6 +900,9 @@ def test_verification_edge_tails_match_scalar_passes():
     spec = close_generators([TargetPoint.from_qr([(1, 1), (2, 3), (0, 1)])])
     A = construct(spec, 20)
     assert_verification_matches_scalar(A, spec, 20, 1, [1e-3, 0.0])
+    # k=4: the hyperplane screen settles the row of largest z in each slice
+    hyp4 = TargetSpec(kind=HYPERPLANE, k=4)
+    assert_verification_matches_scalar(construct(hyp4, 16), hyp4, 16, 4, [1e-3, 0.0])
     # all residuals exactly zero
     for spec, M in ((hyp2, 30), (hyp3, 45)):
         A = construct(spec, M)
@@ -958,7 +1018,7 @@ def test_closure_charges_exactly_its_arrangements(gens):
 @pytest.mark.parametrize("kind", [FULL_SPHERE, HYPERPLANE])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_dense_stream_matches_level_sort(k, kind):
-    want = level_sorted_directions(k, need_zero=kind == HYPERPLANE)
+    want = level_sorted_directions(k, j=k - (kind == HYPERPLANE))
     if kind == HYPERPLANE and k == 2:
         # the union is {(1, 0), (0, 1)}; later levels hold no vector
         want = cycle(islice(want, 2))
