@@ -29,11 +29,12 @@ floor(sqrt(P/Q)) = isqrt(P*Q) // Q.  Each step builds its exact squared
 direction error once (``exact.chord_sq``); the k > 100 comparison reads
 it, and the printed error is the root of its float at 256 bits.
 
-Verification and the repetition demo report floats of the scalar code,
-tuple by tuple, but compute only a few of them that way: a numpy screen
-redoes the same coordinates bit for bit, brackets each distance, and
-settles in Python only the rows whose brackets leave a reported maximum,
-minimum or tolerance count open.
+Verification and the repetition demo report floats of the scalar code but
+compute few of them that way: a numpy screen redoes the same coordinates
+bit for bit, brackets each distance, and settles in Python only the rows
+whose brackets leave a reported maximum, minimum or tolerance count open.
+The forward pass and both demo minima share one such screen, ``_nearest``;
+the demo's distinct tail meets theta's k arrangements, not k! orderings.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, product
 from math import factorial, fsum, inf, isfinite, prod, sqrt
 
 import numpy as np
@@ -54,6 +55,7 @@ from .enumeration import (
     _chamber_blocks,
     check_budget,
     directions,
+    orbit_rows,
 )
 from .errors import CertificateError, DomainError
 from .exact import SurdSum, chord_sq, sqrt_floor
@@ -254,6 +256,12 @@ def _fsum_roots(squares: np.ndarray) -> np.ndarray:
     return np.sqrt([fsum(row) for row in squares.tolist()])
 
 
+def _nearest(x: tuple[float, ...], rows: np.ndarray) -> float:
+    """min(distance(x, r)) over rows, settled where a bracket may hold it."""
+    lo, hi = _bracket(rows - x)
+    return min(distance(x, r) for r in rows[lo <= hi.min()].tolist())
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Empirical two-sided comparison of a construction against its target.
@@ -303,11 +311,9 @@ def verify_construction(
     _require_valid(spec)
     k = len(A.steps[0].values)
 
-    step_dirs = [normalize(rec.values) for rec in A.steps[:M]]
-    forward = max(
-        min(distance(u, sd) for sd in step_dirs)
-        for u in [point.unit() for point in dense_prefix(spec, M)[L_index:]]
-    )
+    step_dirs = np.array([normalize(rec.values) for rec in A.steps[:M]])
+    forward = max(_nearest(p.unit(), step_dirs)
+                  for p in dense_prefix(spec, M)[L_index:])
 
     cutoff = max(A.steps[L_index - 1].values)
     tail = [e for e in A.elements if e >= cutoff]
@@ -438,25 +444,19 @@ def repetition_demo(k: int, M: int) -> RepetitionReport:
     A = construct(spec, M)
     theta_u = theta.unit()
 
-    cloud = directions(A, k, distinct_entries_only=False)
-    units = cloud.unit_points()
-    lo, hi = _bracket(units - theta_u)
-    rep_min = min(
-        distance(theta_u, tuple(units[i])) for i in np.flatnonzero(lo <= hi.min())
-    )
+    rep_min = _nearest(theta_u, directions(A, k).unit_points())
 
     L = (M + 1) // 2
     cutoff = max(A.steps[L - 1].values)
     tail = [e for e in A.elements if e >= cutoff]
     if len(tail) < k:
         raise DomainError("tail too thin; increase M")
-    # normalize commutes with permutations (fsum is order-free), so each
-    # set of k tail entries is normalized once and its floats permuted
-    dist_min = min(
-        distance(theta_u, p)
-        for tup in combinations(tail, k)
-        for p in permutations(normalize(tup))
-    )
+    # fsum is order-free, so distance(theta, p u) = distance(p^-1 theta, u):
+    # each sorted tail k-set, normalized once, meets theta's k arrangements
+    units = np.fromiter(chain.from_iterable(map(normalize, combinations(tail, k))),
+                        float).reshape(-1, k)
+    arrangements = orbit_rows(np.array([sorted(theta_u)])).tolist()
+    dist_min = min(_nearest(tuple(t), units) for t in arrangements)
 
     best_sq = min(
         (theta.distance_sq(p) for p in spec.points),

@@ -138,7 +138,7 @@ def audit_net(net: SphereNet, samples: int, seed: int = 0) -> tuple[float, bool]
     """
     if samples < 1:
         raise DomainError("need at least one sample")
-    check_budget(samples, "audit samples")
+    check_budget(samples * net.k, "audit sample entries")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)

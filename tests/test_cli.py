@@ -65,6 +65,12 @@ class TestExitCodes:
         )
         assert code == 2
         assert "resource" in err
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "0")  # no cap is below 1
+        code, _, err = run(
+            capsys, "enumerate", "--rule", "naturals", "--N", "4", "--k", "2"
+        )
+        assert code == 2
+        assert err.startswith("resource error:")
 
     def test_sampled_draw_entries_exit_2(self, capsys, monkeypatch):
         # 10 draws of 50 entries each are 500 index entries, over 100
@@ -146,8 +152,10 @@ class TestExitCodes:
             ["demo-repetition", "--k", "300000000", "--M", "2"],
             ["chain", "--builtin", "orthant-sphere-full", "--k", "300000000",
              "--M", "1", "--h", "0.5"],
+            # 9e7 samples pass a per-sample charge, but 2.7e8 entries do not
+            ["net-audit", "--k", "3", "--h", "0.5", "--samples", "90000000"],
         ],
-        ids=["construct", "verify", "demo", "chain"],
+        ids=["construct", "verify", "demo", "chain", "net-audit"],
     )
     def test_huge_dimension_is_charged_before_it_is_built(self, argv):
         # M k step entries go through the budget before a k-vector exists;
@@ -383,6 +391,52 @@ class TestBadInput:
                 None,
                 1,
             ),
+            # companion flags
+            (["enumerate", "--rule", "naturals", "--k", "2"], None, 1),
+            (["construct", "--builtin", "hyperplane-boundary", "--M", "3"], None, 1),
+            (
+                ["chain", "--builtin", "hyperplane-boundary", "--k", "3",
+                 "--h", "0.1"],
+                None,
+                1,
+            ),
+            # ground-set rules
+            (["enumerate", "--rule", "powers-of-1", "--N", "10", "--k", "2"], None, 1),
+            (["enumerate", "--rule", "powers-of-x", "--N", "10", "--k", "2"], None, 1),
+            (["enumerate", "--rule", "poly-0", "--N", "10", "--k", "2"], None, 1),
+            (["enumerate", "--rule", "poly-x", "--N", "10", "--k", "2"], None, 1),
+            (["enumerate", "--rule", "naturals", "--N", "0", "--k", "2"], None, 1),
+            # counts
+            (
+                ["density", "--rule", "naturals", "--N", "10", "--k", "2",
+                 "--h", "0.5", "--sample", "0"],
+                None,
+                1,
+            ),
+            (["ratio-gap", "--rule", "naturals", "--N", "100", "--windows", "0"],
+             None, 1),
+            (["net-audit", "--k", "2", "--h", "0.5", "--samples", "0"], None, 1),
+            (["demo-repetition", "--M", "1"], None, 1),
+            (["construct", "--builtin", "hyperplane-boundary", "--k", "3",
+              "--M", "-1"], None, 1),
+            (
+                ["construct", "--builtin", "hyperplane-boundary", "--k", "3",
+                 "--M", "0", "--dump", "DIR/trace.jsonl"],
+                None,
+                1,
+            ),
+            (["witness", "--elements", "", "--x", "0.6,0.8", "--m", "5"], None, 1),
+            # spec files
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": 3, "kind": "widgets", "generators": []}',
+                1,
+            ),
+            (
+                ["construct", "--spec", "SPEC", "--M", "3"],
+                '{"k": 3, "generators": [[{"q": "1", "r": 1}, {"q": "1", "r": 2}]]}',
+                1,
+            ),
         ],
         ids=[
             "elements",
@@ -417,6 +471,23 @@ class TestBadInput:
             "verify-nan-tolerance",
             "verify-infinite-tolerance",
             "construct-verify-infinite-h",
+            "rule-without-N",
+            "builtin-without-k",
+            "chain-builtin-without-M",
+            "powers-of-1",
+            "powers-of-x",
+            "poly-0",
+            "poly-x",
+            "N-zero",
+            "density-sample-zero",
+            "ratio-gap-windows-zero",
+            "net-audit-samples-zero",
+            "demo-one-step",
+            "construct-negative-M",
+            "dump-without-trace",
+            "witness-empty-elements",
+            "spec-unknown-kind",
+            "spec-generator-dimension",
         ],
     )
     def test_documented_exit_code(self, tmp_path, capsys, argv, spec_text, code):
@@ -432,7 +503,11 @@ class TestBadInput:
         except SystemExit as exc:
             got = exc.code
         assert got == code
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if code == 64:
+            assert "error:" in err
+        else:
+            assert err.startswith("resource error:" if code == 2 else "error:")
 
 
 class TestReports:

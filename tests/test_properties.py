@@ -18,8 +18,13 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from directions import density
-from directions.construction import construct, repetition_demo, verify_construction
-from directions.core import normalize, scaled_floats
+from directions.construction import (
+    _nearest,
+    construct,
+    repetition_demo,
+    verify_construction,
+)
+from directions.core import distance, normalize, scaled_floats
 from directions.density import chain_check, covering_radius, sphere_net
 from directions.enumeration import (
     _ITER_ROWS,
@@ -916,8 +921,39 @@ def test_repetition_min_matches_scalar_minimum(k, M):
     assert got.hex() == scalar_repetition_min(k, M).hex()
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    k=st.integers(2, 6),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    x_kind=st.sampled_from(["fresh", "member", "ulp"]),
+)
+def test_nearest_is_the_least_distance(k, n, seed, x_kind):
+    # unit rows with duplicates and one-ulp neighbours, so brackets tie
+    rng = np.random.default_rng(seed)
+    rows = np.abs(rng.standard_normal((n, k)))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    copies = rng.integers(n, size=(2, n // 3))
+    rows[copies[0]] = rows[copies[1]]
+    shifted = rng.integers(n, size=(2, n // 3))
+    rows[shifted[0]] = np.nextafter(rows[shifted[1]], 2.0)
+    if x_kind == "fresh":
+        x = np.abs(rng.standard_normal(k))
+        x /= np.linalg.norm(x)
+    else:
+        x = rows[rng.integers(n)]
+        if x_kind == "ulp":
+            x = np.nextafter(x, 0.0)
+    x = tuple(x.tolist())
+    want = min(distance(x, r) for r in rows.tolist())
+    assert _nearest(x, rows).hex() == want.hex()
+    if x_kind == "member":
+        assert want == 0.0
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(k=st.integers(3, 4), M=st.integers(2, 16))
+@example(k=5, M=6)  # five arrangements of theta against all 120 orderings
 def test_distinct_tail_min_matches_every_ordered_tuple(k, M):
     try:
         got = repetition_demo(k, M).distinct_tail_min_dist
