@@ -33,8 +33,9 @@ Verification and the repetition demo report floats of the scalar code but
 compute few of them that way: a numpy screen redoes the same coordinates
 bit for bit, brackets each distance, and settles in Python only the rows
 whose brackets leave a reported maximum, minimum or tolerance count open.
-The forward pass and both demo minima share one such screen, ``_nearest``;
-the demo's distinct tail meets theta's k arrangements, not k! orderings.
+The forward pass and both demo minima share one such screen, ``_nearest``,
+and no demo cloud is expanded k!-fold: the distinct tail meets theta's k
+arrangements, the with-repetition chamber each of the k! column orders.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
 from itertools import chain, combinations, product
-from math import factorial, fsum, inf, isfinite, prod, sqrt
+from math import comb, factorial, fsum, inf, isfinite, prod, sqrt
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .enumeration import (
     check_budget,
     directions,
     orbit_rows,
+    unit_rows,
 )
 from .errors import CertificateError, DomainError
 from .exact import SurdSum, chord_sq, sqrt_floor
@@ -319,10 +321,10 @@ def verify_construction(
     tail = [e for e in A.elements if e >= cutoff]
     n = len(tail)
     count = prod(range(n - k + 1, n + 1)) if n >= k else 0
-    check_budget(count, "tail tuples")
     # residuals and target distances are symmetric in the tuple (fsum is
     # order-free and the spec is permutation-closed), so one ordering of
-    # each tuple stands for all k! of them
+    # each tuple stands for all k! of them and is the one charged and built
+    check_budget(k * comb(n, k), "tail tuple entries (k C(n, k))")
     units = {rec.step: rec.target.unit() for rec in A.steps[:M]}
     origins_of: dict[int, list[tuple[int, int]]] = {}
     for rec in A.steps[:M]:
@@ -444,7 +446,10 @@ def repetition_demo(k: int, M: int) -> RepetitionReport:
     A = construct(spec, M)
     theta_u = theta.unit()
 
-    rep_min = _nearest(theta_u, directions(A, k).unit_points())
+    # unit_rows' floats of a row follow its column order and its maximum alone
+    chamber = directions(A, k).rows
+    rep_min = min(_nearest(theta_u, unit_rows(chamber[:, order]))
+                  for order in orbit_rows(np.arange(k)[None]))
 
     L = (M + 1) // 2
     cutoff = max(A.steps[L - 1].values)

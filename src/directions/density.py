@@ -35,11 +35,11 @@ Every nearest-distance query goes through one kernel, which settles only
 the queries that can attain the worst distance.  The cloud's unit rows are
 cut into contiguous parts, one per usable CPU and none below a fixed floor
 of rows, each with its own KD tree (unbalanced, leafsize 32, uncompacted
-node boxes) built on its own thread.  With several parts, a settled probe
-of the queries bounds the worst distance from below, each tree answers its
-own slice within that bound, and the queries none rules out take the least
-of the parts' distances: the nearest distance over all rows, the same
-float, so no report depends on the CPU count.
+node boxes) built on its own thread.  A settled probe of the queries
+bounds the worst distance from below, each tree answers its own slice
+within that bound, and the queries none rules out take the least of the
+parts' distances: the nearest distance over all rows, the same float, so
+no report depends on the CPU count.
 
 scipy.spatial is imported with the first KD tree, not with this module, so
 the commands that build none (everything but density, chain and net-audit)
@@ -214,32 +214,30 @@ def _worst(
     within slack of the largest, R, and those distances.
 
     Part 0 builds on this thread, so one malloc arena fewer keeps freed
-    tree memory.  With several parts, low = (worst probe distance) - slack
-    <= R - slack, so a row nearer than low in a tree's own slice rules a
-    query out; the rest are settled over every tree, the same float.
+    tree memory.  low = (worst probe distance) - slack <= R - slack, so a
+    row nearer than low in a tree's own slice rules a query out; the rest
+    are settled over every tree, the same float.
     """
     count = min(_usable_cpus(), len(units) // _PART_FLOOR)
     parts = np.array_split(units, max(count, 1))
-    if len(parts) == 1:
-        at, dists = np.arange(len(queries)), _cloud_tree(units).query(queries)[0]
-    else:
-        with ThreadPoolExecutor(len(parts) - 1) as pool:
-            rest = pool.map(_cloud_tree, parts[1:])
-            trees = [_cloud_tree(parts[0]), *rest]
+    # one part submits no task, so no worker thread starts
+    with ThreadPoolExecutor(max(len(parts) - 1, 1)) as pool:
+        rest = pool.map(_cloud_tree, parts[1:])
+        trees = [_cloud_tree(parts[0]), *rest]
 
-            def settle(q: np.ndarray) -> np.ndarray:
-                return np.minimum.reduce([t.query(q)[0] for t in trees])
+        def settle(q: np.ndarray) -> np.ndarray:
+            return np.minimum.reduce([t.query(q)[0] for t in trees])
 
-            low = max(settle(queries[:: len(queries) // 1000 + 1]).max() - slack, 0)
+        low = max(settle(queries[:: len(queries) // 1000 + 1]).max() - slack, 0)
 
-            def bound(tree: KDTree, q: np.ndarray) -> np.ndarray:
-                return tree.query(q, distance_upper_bound=low)[0]
+        def bound(tree: KDTree, q: np.ndarray) -> np.ndarray:
+            return tree.query(q, distance_upper_bound=low)[0]
 
-            slices = np.array_split(queries, len(trees))
-            rest = pool.map(bound, trees[1:], slices[1:])
-            bounded = np.concatenate([bound(trees[0], slices[0]), *rest])
-        at = np.flatnonzero(bounded >= low)  # inf, or no row nearer than low
-        dists = settle(queries[at])
+        slices = np.array_split(queries, len(trees))
+        rest = pool.map(bound, trees[1:], slices[1:])
+        bounded = np.concatenate([bound(trees[0], slices[0]), *rest])
+    at = np.flatnonzero(bounded >= low)  # inf, or no row nearer than low
+    dists = settle(queries[at])
     keep = dists >= dists.max() - slack
     return at[keep], dists[keep]
 

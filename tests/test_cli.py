@@ -43,6 +43,28 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def run_capped(argv):
+    """Run the CLI in a subprocess under a 1 GB address-space cap and the
+    default budget."""
+    resource = pytest.importorskip("resource")
+    src = str(Path(directions.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("DIRECTIONS_BUDGET", None)
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "directions.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=cap_memory,
+    )
+
+
 class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run(
@@ -161,25 +183,19 @@ class TestExitCodes:
         # M k step entries go through the budget before a k-vector exists;
         # the 1 GB address-space cap turns a missed charge into a
         # MemoryError instead of gigabytes of allocation
-        resource = pytest.importorskip("resource")
-        src = str(Path(directions.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        env.pop("DIRECTIONS_BUDGET", None)
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "directions.cli", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=cap_memory,
-        )
+        proc = run_capped(argv)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("resource error:")
+
+    def test_demo_reads_the_chamber_under_a_memory_cap(self):
+        # the with-repetition minimum walks the chamber once per column
+        # order; the k!-fold expanded cloud of k=5, M=10 overruns 1 GB
+        proc = run_capped(["demo-repetition", "--k", "5", "--M", "10"])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout, parse_constant=reject_constant)
+        # tuples with repeats reach theta, distinct tails stay away from it
+        assert report["with_repetition_min_dist"] < 1e-3
+        assert report["distinct_tail_min_dist"] > 0.1
 
     def test_k6_exhaustive_density_charges_the_sorted_net(self, capsys, monkeypatch):
         # at k=6, h=0.2 the net has 158,503,681 points, over the default

@@ -462,6 +462,17 @@ class TestVerify:
         with pytest.raises(ResourceError):
             verify_construction(A, spec, 20, 10, 0.05)
 
+    def test_tail_budget_charges_the_sorted_entries(self, monkeypatch):
+        # 21 tail elements: 7,980 ordered triples, walked as C(21, 3) = 1,330
+        # sorted ones of 3 entries each, 3,990 entries
+        spec = TargetSpec(kind=HYPERPLANE, k=3)
+        A = construct(spec, 20)
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "3990")
+        assert verify_construction(A, spec, 20, 10, 0.05).tail_tuple_count == 7980
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "3989")
+        with pytest.raises(ResourceError, match="3990 exceeds"):
+            verify_construction(A, spec, 20, 10, 0.05)
+
     def test_l_index_in_range(self):
         A = construct(CLOSURE_12, 6)
         with pytest.raises(DomainError):

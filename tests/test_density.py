@@ -207,6 +207,26 @@ class TestSplitTrees:
             force_split(monkeypatch, cpus, 1)
             assert covering_radius(cloud, net) == want
 
+    @pytest.mark.parametrize("cpus, tasks", [(1, 0), (3, 4)])
+    def test_one_part_submits_no_task(self, monkeypatch, cpus, tasks):
+        # each extra part submits its tree build and its bounded query; a
+        # pool starts worker threads only on submit, so one part starts none
+        submitted = []
+
+        class Spy(density.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(density, "ThreadPoolExecutor", Spy)
+        force_split(monkeypatch, cpus, 1)
+        units = unit_rows(np.arange(1, 31).reshape(10, 3))
+        queries = unit_rows(sphere_net(3, 0.5).whole())
+        want, _ = cKDTree(units).query(queries)
+        at, dists = density._worst(units, queries, 0.0)
+        assert len(submitted) == tasks
+        assert np.array_equal(dists, want[at]) and dists.max() == want.max()
+
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(density.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(density.os, "cpu_count", lambda: 3)

@@ -915,7 +915,7 @@ def test_verification_edge_tails_match_scalar_passes():
         assert_verification_matches_scalar(A, spec, M, M - 1, [1e-3, 0.0, -1.0])
 
 
-@pytest.mark.parametrize("k, M", [(3, 6), (3, 15), (4, 10), (3, 30)])
+@pytest.mark.parametrize("k, M", [(3, 6), (3, 15), (4, 10), (3, 30), (5, 6)])
 def test_repetition_min_matches_scalar_minimum(k, M):
     got = repetition_demo(k, M).with_repetition_min_dist
     assert got.hex() == scalar_repetition_min(k, M).hex()
