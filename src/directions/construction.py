@@ -31,10 +31,10 @@ it, and the printed error is the root of its float at 256 bits.
 
 Verification and the repetition demo report floats of the scalar code but
 compute few of them that way: a numpy screen redoes the same coordinates
-bit for bit, brackets each distance, and settles in Python only the rows
-whose brackets leave a reported maximum, minimum or tolerance count open.
-The forward pass and both demo minima share one such screen, ``_nearest``,
-and no demo cloud is expanded k!-fold: the distinct tail meets theta's k
+bit for bit, at every element size, brackets each distance, and settles in
+Python only the rows whose brackets leave a reported value open.  The
+forward pass and both demo minima share one such screen, ``_nearest``, and
+no demo cloud is expanded k!-fold: the distinct tail meets theta's k
 arrangements, the with-repetition chamber each of the k! column orders.
 """
 
@@ -43,13 +43,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import chain, combinations, product
 from math import comb, factorial, fsum, inf, isfinite, prod, sqrt
 
 import numpy as np
 
-from .core import SCALE_BITS, _bracket, distance, norm, normalize, primitive
+from .core import (SCALE_BITS, _bracket, distance, norm, normalize, primitive,
+                   scaled_floats)
 from .enumeration import (
     _ITER_ROWS,
     GroundSet,
@@ -248,9 +249,26 @@ def dump_construction(A: GroundSet, path: str) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
-def _scale_ratio(m_small: int, m_big: int) -> float:
-    # m_small! / m_big!; int/int division underflows to 0.0, never overflows
-    return 1 / prod(range(m_small + 1, m_big + 1))
+def _scale_ratios(steps: list[int]) -> np.ndarray:
+    """m!/m_big! over ascending steps by int/int division, 0.0 if m > m_big."""
+    fact = [factorial(m) for m in steps]
+    return np.array([[a / b if a <= b else 0.0 for b in fact] for a in fact])
+
+
+def _tail_floats(tail: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """normalize(row) = floats[r, row] / sqrt(fsum(squares[r, row])) for a
+    sorted row of the ascending tail, r = key[row[-1]]: the row's largest
+    entry sets the shift s of ``scaled_floats``, with float(e*e) squares at
+    s = 0, float squares at s > 12 (e*e overflows) and NaN in between."""
+    shifts = np.array([max(0, e.bit_length() - SCALE_BITS) for e in tail], int)
+    levels, key = np.unique(shifts, return_inverse=True)
+    floats, squares = np.zeros((2, len(levels), len(tail)))
+    for r, s in enumerate(levels.tolist()):
+        end = np.searchsorted(shifts, s, "right")
+        floats[r, :end] = scaled_floats(tail[:end])
+        squares[r, :end] = ([float(e * e) for e in tail[:end]] if s == 0 else
+                            np.square(floats[r, :end]) if s > 12 else np.nan)
+    return floats, squares, key
 
 
 def _fsum_roots(squares: np.ndarray) -> np.ndarray:
@@ -325,12 +343,13 @@ def verify_construction(
     # order-free and the spec is permutation-closed), so one ordering of
     # each tuple stands for all k! of them and is the one charged and built
     check_budget(k * comb(n, k), "tail tuple entries (k C(n, k))")
-    units = {rec.step: rec.target.unit() for rec in A.steps[:M]}
-    origins_of: dict[int, list[tuple[int, int]]] = {}
-    for rec in A.steps[:M]:
-        for i, v in enumerate(rec.values):
-            origins_of.setdefault(v, []).append((i, rec.step))
-    scale_ratio = cache(_scale_ratio)  # few (m, m_big) pairs, many picks
+    # each origin of a tail element as (unit coordinate, ratio table index)
+    steps = [rec for rec in A.steps[:M] if max(rec.values) >= cutoff]
+    origins_of: dict[int, list[tuple[float, int]]] = {}
+    for p, rec in enumerate(steps):
+        for u, v in zip(rec.target.unit(), rec.values):
+            origins_of.setdefault(v, []).append((u, p))
+    ratio = _scale_ratios([rec.step for rec in steps])
 
     def backward(tup: tuple[int, ...]) -> tuple[float, float]:
         """(residual, distance to the target) of one tail tuple."""
@@ -340,48 +359,30 @@ def verify_construction(
             raise DomainError("tail element comes from no step up to M")
         best = inf
         for pick in product(*origins):
-            m_big = max(m for _, m in pick)
-            pred = tuple(units[m][i] * scale_ratio(m, m_big) for i, m in pick)
+            big = max(p for _, p in pick)
+            pred = tuple(u * ratio.item(p, big) for u, p in pick)
             d = distance(actual, normalize(pred)) if norm(pred) else sqrt(2)
             best = min(best, d)
         return best, spec.distance(actual)
 
-    # The screen redoes normalize's floats in numpy for tuples of elements
-    # below 2^SCALE_BITS with one origin each: float(e) over the root of the
-    # fsum of float(e*e), and likewise for the prediction.  Only the rows
-    # whose brackets leave a reported value open go through backward, with
-    # every row the screen does not represent, in tuple order.
-    table = np.zeros((n, 4))  # float(e), float(e*e), units[m][i], m
-    ok = np.zeros(n, dtype=bool)
-    for j, e in enumerate(tail):
-        origins = origins_of.get(e, ())
-        if len(origins) == 1 and e.bit_length() <= SCALE_BITS:
-            (i, m), = origins
-            ok[j] = True
-            table[j] = float(e), float(e * e), units[m][i], m
-    floats, squares, coord_of = table[:, :3].T
-    m_of = table[:, 3].astype(np.int64)
-    orbit = factorial(k)
-    back_haus = 0.0
-    back_residual = 0.0
-    violations = 0
+    # The screen redoes the tuple's floats from ``_tail_floats`` and the
+    # prediction's from the ratio table.  NaN rows (a band row or a several-
+    # origin entry), norm-0 predictions and open brackets go to backward.
+    floats, squares, key = _tail_floats(tail)
+    coord_of, at_of = np.zeros(n), np.zeros(n, dtype=np.int64)
+    for j, o in enumerate(origins_of.get(e, ()) for e in tail):
+        coord_of[j], at_of[j] = o[0] if len(o) == 1 else (np.nan, 0)
+    orbit, violations = factorial(k), 0
+    back_haus = back_residual = 0.0
     for block in _chamber_blocks(n, k, True):
         for start in range(0, len(block), _ITER_ROWS):
             idx = block[start : start + _ITER_ROWS]
-            rows = np.flatnonzero(ok[idx].all(axis=1))
-            steps = m_of[idx[rows]]
-            # each distinct (m, m_big) pair asks scale_ratio once
-            pairs, at = np.unique(
-                steps * (M + 1) + steps.max(axis=1)[:, None], return_inverse=True
-            )
-            ratios = np.array([scale_ratio(*divmod(int(p), M + 1)) for p in pairs])
-            raw = coord_of[idx[rows]] * ratios[at.reshape(steps.shape)]
-            pnorm = _fsum_roots(raw * raw)
-            live = pnorm > 0  # backward settles a prediction of norm 0
-            rows, raw, pnorm = rows[live], raw[live], pnorm[live]
-            picked = idx[rows]
-            actual = floats[picked] / _fsum_roots(squares[picked])[:, None]
-            lo, hi = _bracket(actual - raw / pnorm[:, None])
+            picks, r = at_of[idx], key[idx[:, -1:]]
+            raw = coord_of[idx] * ratio[picks, picks.max(axis=1)[:, None]]
+            pnorm, anorm = _fsum_roots(raw * raw), _fsum_roots(squares[r, idx])
+            rows = np.flatnonzero((pnorm > 0) & (anorm > 0))  # not 0, not NaN
+            actual = floats[r[rows], idx[rows]] / anorm[rows, None]
+            lo, hi = _bracket(actual - raw[rows] / pnorm[rows, None])
             # settle rows the tolerance cuts, rows that may hold the largest
             # residual and rows that may lie farthest from the target
             settle = (lo <= tolerance) & (hi > tolerance)
@@ -394,8 +395,7 @@ def verify_construction(
             for row in idx[exact].tolist():
                 best, haus = backward(tuple(tail[j] for j in row))
                 back_residual = max(back_residual, best)
-                if best > tolerance:
-                    violations += orbit
+                violations += orbit * (best > tolerance)
                 back_haus = max(back_haus, haus)
     return VerificationReport(
         forward_hausdorff=forward,

@@ -20,7 +20,7 @@ import directions
 from directions.construction import (
     ConstructionState,
     _check_step_certificates,
-    _scale_ratio,
+    _scale_ratios,
     construct,
     construct_step,
     dump_construction,
@@ -41,7 +41,12 @@ from directions.targets import (
     dense_prefix,
 )
 
-from oracles import mp_floor_scaled, surd_direction_error, surd_step_bound_holds
+from oracles import (
+    mp_floor_scaled,
+    scale_ratio,
+    surd_direction_error,
+    surd_step_bound_holds,
+)
 
 
 CLOSURE_12 = close_generators([TargetPoint.from_ints(1, 2)])
@@ -450,10 +455,29 @@ class TestVerify:
         ):
             assert key in d
 
-    def test_scale_ratio_underflows(self):
+    def test_scale_ratio_table(self):
         # 150!/300! is far below float range and rounds to 0.0
-        assert _scale_ratio(150, 300) == 0.0
-        assert _scale_ratio(3, 5) == 1 / 20
+        assert _scale_ratios([150, 300]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert _scale_ratios([3, 5])[0, 1] == 1 / 20
+        steps = list(range(1, 61))
+        table = _scale_ratios(steps)
+        for a, m in enumerate(steps):
+            for b, m_big in enumerate(steps[a:], a):
+                assert table[a, b].hex() == scale_ratio(m, m_big).hex()
+            assert not table[a, :a].any()  # m > m_big is never read
+
+    def test_screen_calls_normalize_for_few_tuples(self):
+        # full sphere k=2, M=150, L=30 crosses 2^512: the tail's 28,920
+        # sorted tuples once took 40,436 normalize calls, one per tuple
+        # past 2^500 and one per origin pick
+        spec = TargetSpec(kind=FULL_SPHERE, k=2)
+        A = construct(spec, 150)
+        with mock.patch(
+            "directions.construction.normalize", wraps=normalize
+        ) as calls:
+            rep = verify_construction(A, spec, 150, 30, 0.05)
+        assert rep.tail_tuple_count == 2 * 28_920
+        assert calls.call_count < 28_920 / 10
 
     def test_tail_budget(self, monkeypatch):
         monkeypatch.setenv("DIRECTIONS_BUDGET", "100")

@@ -3,10 +3,11 @@
 import os
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import cycle, islice, permutations
-from math import comb, factorial, gcd, isqrt, nextafter, prod
+from math import comb, factorial, fsum, gcd, isqrt, nextafter, prod, sqrt
 from unittest import mock
 
 import mpmath
@@ -20,6 +21,7 @@ from scipy.spatial import cKDTree
 from directions import density
 from directions.construction import (
     _nearest,
+    _tail_floats,
     construct,
     repetition_demo,
     verify_construction,
@@ -908,11 +910,71 @@ def test_verification_edge_tails_match_scalar_passes():
     # k=4: the hyperplane screen settles the row of largest z in each slice
     hyp4 = TargetSpec(kind=HYPERPLANE, k=4)
     assert_verification_matches_scalar(construct(hyp4, 16), hyp4, 16, 4, [1e-3, 0.0])
+    # k=3 tails across 2^500, through the 501..512-bit band where normalize
+    # may take either path, and past 2^512
+    A = construct(hyp3, 105)
+    bits = [e.bit_length() for e in A.elements if e >= max(A.steps[94].values)]
+    assert bits[0] <= 500 and any(500 < b <= 512 for b in bits) and bits[-1] > 512
+    assert_verification_matches_scalar(A, hyp3, 105, 95, [1e-3, 0.0])
+    # a tail thinner than k: no tuple at all
+    spec = close_generators([TargetPoint.from_ints(1, 0, 0)])
+    A = construct(spec, 8)
+    assert len([e for e in A.elements if e >= max(A.steps[6].values)]) < 3
+    assert_verification_matches_scalar(A, spec, 8, 7, [1e-3])
+    # every element with several origins: the trace again, as later steps
+    A = construct(hyp3, 12)
+    A = replace(A, steps=A.steps + tuple(
+        replace(rec, step=rec.step + 12) for rec in A.steps))
+    assert_verification_matches_scalar(A, hyp3, 24, 6, [1e-3, 0.0])
     # all residuals exactly zero
     for spec, M in ((hyp2, 30), (hyp3, 45)):
         A = construct(spec, M)
         assert {r for r, _ in scalar_backward(A, spec, M, M - 1)} == {0.0}
         assert_verification_matches_scalar(A, spec, M, M - 1, [1e-3, 0.0, -1.0])
+
+
+# bit lengths around both edges of the band (SCALE_BITS, SCALE_BITS + 12]
+# and far past it; below a 3,000-bit maximum, 1,450 bits scale to subnormals
+TAIL_BITS = [1, 2, 30, 64, 499, 500, 501, 502, 511, 512, 513, 514, 1450, 1600, 3000]
+
+
+def assert_tail_floats_match_normalize(tail, rng):
+    """Rows ending at each j, divided out of ``_tail_floats``' tables, equal
+    normalize bit for bit; band rows are NaN, not computed."""
+    floats, squares, key = _tail_floats(tail)
+    for j, e in enumerate(tail):
+        # every pair, the whole prefix and a random subset
+        rows = [[i, j] for i in range(j)] + [list(range(j + 1))]
+        rows.append(sorted(rng.sample(range(j), rng.randint(0, j))) + [j])
+        for row in rows:
+            f, q = floats[key[j], row].tolist(), squares[key[j], row].tolist()
+            if 500 < e.bit_length() <= 512:
+                assert np.isnan(q).all()
+                continue
+            n = sqrt(fsum(q))
+            want = normalize(tuple(tail[i] for i in row))
+            assert [(x / n).hex() for x in f] == [x.hex() for x in want]
+    return floats
+
+
+def test_tail_floats_cover_the_band_and_subnormals():
+    rng = random.Random(0)
+    tail = sorted(rng.randrange(1 << (b - 1), 1 << b) for b in TAIL_BITS)
+    floats = assert_tail_floats_match_normalize(tail, rng)
+    assert ((0 < floats) & (floats < np.finfo(float).tiny)).any()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    bits=st.lists(
+        st.sampled_from(TAIL_BITS) | st.integers(1, 3000), min_size=1, max_size=14
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tail_floats_match_normalize(bits, seed):
+    rng = random.Random(seed)
+    tail = sorted({rng.randrange(1 << (b - 1), 1 << b) for b in bits})
+    assert_tail_floats_match_normalize(tail, rng)
 
 
 @pytest.mark.parametrize("k, M", [(3, 6), (3, 15), (4, 10), (3, 30), (5, 6)])
