@@ -55,10 +55,11 @@ from .enumeration import (
     _ITER_ROWS,
     GroundSet,
     _chamber_blocks,
+    _row_floats,
+    _unit_in_place,
     check_budget,
     directions,
     orbit_rows,
-    unit_rows,
 )
 from .errors import CertificateError, DomainError
 from .exact import SurdSum, chord_sq, sqrt_floor
@@ -446,9 +447,9 @@ def repetition_demo(k: int, M: int) -> RepetitionReport:
     A = construct(spec, M)
     theta_u = theta.unit()
 
-    # unit_rows' floats of a row follow its column order and its maximum alone
-    chamber = directions(A, k).rows
-    rep_min = min(_nearest(theta_u, unit_rows(chamber[:, order]))
+    # a row's floats follow its entries and maximum: convert once, permute
+    floats = _row_floats(directions(A, k).rows)
+    rep_min = min(_nearest(theta_u, _unit_in_place(floats[:, order]))
                   for order in orbit_rows(np.arange(k)[None]))
 
     L = (M + 1) // 2

@@ -21,8 +21,10 @@ elements, reduced by their gcd, which keeps them sorted.  ``count`` sums
 the rows' exact orbit sizes k!/prod(m!) (``orbit_sizes``), and iteration,
 CSV export and ``unit_points`` see every row through one expansion,
 ``orbit_rows``, which builds each distinct arrangement once.
-Dedupe and expansion share one row sort: one ``np.sort`` of packed int64 keys
-for nonnegative int64 rows with k * bit_length(max) <= 63, else ``lexsort``.
+Dedupe and expansion share one row sort: object rows become int64 ranks
+among their distinct values, then one ``np.sort`` of packed int64 keys for
+nonnegative int64 rows with k * bit_length(max) <= 63, else ``lexsort``.
+An expansion charges its count * k entries to the budget before it is built.
 One writer formats every CSV: small nonnegative int64 entries from tables of
 tokens, everything else from array slices with ``%s``, the same bytes.
 """
@@ -192,8 +194,11 @@ class DirectionCloud:
 
     @cached_property
     def _full_rows(self) -> np.ndarray:
-        """Every row, lexicographic; a chamber is expanded once per cloud."""
-        return self.rows if self.sampled else orbit_rows(self.rows)
+        """Every row, lexicographic; a chamber is charged and expanded once."""
+        if self.sampled:
+            return self.rows
+        check_budget(self.count * self.k, "expanded cloud entries (count k)")
+        return orbit_rows(self.rows)
 
     def unit_points(self) -> np.ndarray:
         """Float unit vectors, one row per direction, in ``_full_rows`` order."""
@@ -239,20 +244,26 @@ def orbit_sizes(rows: np.ndarray) -> np.ndarray:
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
-    """Float unit vectors of a nonempty int64 or object array of rows.
+    """Float unit vectors of a nonempty int64 or object array of rows."""
+    return _unit_in_place(_row_floats(rows))
 
-    Object rows of Python ints are scaled as ``core.scaled_floats`` scales
-    one row: each row over 2^(bit_length - SCALE_BITS) past SCALE_BITS
-    bits, by the same int/int true division, done in one array division.
-    """
+
+def _row_floats(rows: np.ndarray) -> np.ndarray:
+    """New float rows, object rows scaled as ``core.scaled_floats`` scales one:
+    past SCALE_BITS bits by the same int/int division, in one array division,
+    else by ``astype``, since float(c) is c / 1 correctly rounded."""
     if rows.dtype == object:
         bits = np.frompyfunc(int.bit_length, 1, 1)(rows.max(axis=1))
-        scale = np.left_shift(1, np.maximum(bits - SCALE_BITS, 0))
-        pts = (rows / scale[:, None]).astype(np.float64)
-    else:
-        pts = rows.astype(np.float64)
-    # np.linalg.norm's body without its copies, in blocks of rows so the
-    # squares stay small: the same floats
+        wide = np.flatnonzero(bits > SCALE_BITS)
+        if len(wide):  # on a copy, so the caller's rows keep their ints
+            rows = rows.copy()
+            rows[wide] = rows[wide] / np.left_shift(1, bits[wide] - SCALE_BITS)[:, None]
+    return rows.astype(np.float64)
+
+
+def _unit_in_place(pts: np.ndarray) -> np.ndarray:
+    """pts with each row divided by its norm in place: np.linalg.norm's body
+    without its copies, in blocks of rows so the squares stay small."""
     for start in range(0, len(pts), _ITER_ROWS):
         part = pts[start : start + _ITER_ROWS]
         part /= np.sqrt(np.add.reduce(part * part, axis=1))[:, None]
@@ -306,8 +317,15 @@ def _sampled_block(
 
 def _sort_rows(rows: np.ndarray, unique: bool) -> np.ndarray:
     """Lexicographically sorted rows, same dtype, each once if ``unique``;
-    packed keys hold entry 0 in their top bits, so they sort in row order."""
+    packed keys hold entry 0 in their top bits, so they sort in row order,
+    and object rows sort as int64 ranks among their distinct values."""
     n, k = rows.shape
+    if rows.dtype == object:
+        flat = rows.ravel().tolist()
+        values = sorted(set(flat))
+        rank = {v: i for i, v in enumerate(values)}
+        ranks = np.fromiter(map(rank.__getitem__, flat), np.int64, n * k)
+        return np.array(values, dtype=object)[_sort_rows(ranks.reshape(n, k), unique)]
     packs = rows.dtype == np.int64 and n and rows.min() >= 0
     bits = int(rows.max()).bit_length() if packs else 64
     if k * bits <= 63:

@@ -18,8 +18,9 @@ evaluator that ``exact`` replaced are kept as written too, and so are the
 the package's ``squarefree_split``.  So is the ``Fraction`` interval loop
 that decided ``SurdSum.sign`` before one integer fixed-point sum did, with
 its own floors, doubling and cap.  So is the ``np.linalg.norm`` body of
-``unit_rows``, the ``%s`` body of ``enumeration._write_csv``, the
-scalar sphere-net index and the meshgrid sphere net, whose row order is
+``unit_rows``, the object-row ``np.lexsort`` and neighbour dedupe of
+``_sort_rows`` before it sorted int64 ranks, the ``%s`` body of
+``enumeration._write_csv``, the scalar sphere-net index and the meshgrid sphere net, whose row order is
 sphere_net order, and the surd comparison that certified a construction
 step's direction error before the integer lemma replaced it.  The
 per-tuple backward pass of ``verify_construction``, the per-point minimum
@@ -504,6 +505,16 @@ def linalg_unit_rows(rows):
     else:
         pts = rows.astype(np.float64)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def object_lexsort_rows(rows, unique):
+    """``enumeration._sort_rows`` on object rows as the package wrote it
+    before it sorted int64 ranks: one ``np.lexsort`` over the Python ints,
+    then a ``!=`` dedupe of neighbouring rows."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    if unique:
+        rows = np.concatenate([rows[:1], rows[1:][(rows[1:] != rows[:-1]).any(axis=1)]])
+    return rows
 
 
 CSV_ROWS = 4096  # rows per slice; the bytes do not depend on it

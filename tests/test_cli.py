@@ -104,6 +104,18 @@ class TestExitCodes:
         assert code == 2
         assert "sampled draw entries" in err
 
+    @pytest.mark.parametrize("flag", ["--out", "--unit-out"])
+    def test_expansion_over_budget_exits_2(self, capsys, monkeypatch, tmp_path, flag):
+        # 30^3 = 27,000 ordered tuples pass the cloud's charge, but the
+        # export expands its 22,495 directions to 67,485 entries
+        monkeypatch.setenv("DIRECTIONS_BUDGET", "50000")
+        path = tmp_path / "F.csv"
+        code, _, err = run(capsys, "enumerate", "--rule", "naturals", "--N", "30",
+                           "--k", "3", flag, str(path))
+        assert code == 2
+        assert err.startswith("resource error: expanded cloud entries")
+        assert not path.exists()
+
     def test_usage_error_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -17,6 +17,7 @@ import pytest
 
 import directions
 
+from directions import construction, enumeration
 from directions.construction import (
     ConstructionState,
     _check_step_certificates,
@@ -556,3 +557,13 @@ class TestRepetitionDemo:
     def test_rejects_small_k(self):
         with pytest.raises(DomainError):
             repetition_demo(2, 10)
+
+    def test_converts_the_chamber_once(self, monkeypatch):
+        # the 24 column orders at k=4 normalize one float array; unit_rows
+        # would convert the chamber once per order
+        spy = mock.Mock(wraps=enumeration._row_floats)
+        monkeypatch.setattr(enumeration, "_row_floats", spy)
+        monkeypatch.setattr(construction, "_row_floats", spy)
+        repetition_demo(4, 12)
+        assert spy.call_count == 1
+        assert spy.call_args.args[0].shape[1] == 4

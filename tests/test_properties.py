@@ -72,6 +72,7 @@ from oracles import (
     meeting_index_sets,
     meshgrid_net,
     mp_surd_sign,
+    object_lexsort_rows,
     percent_s_csv,
     scalar_backward,
     scalar_distinct_tail_min,
@@ -128,6 +129,38 @@ def test_unique_rows_matches_np_unique(rows):
         assert [tuple(r) for r in got.tolist()] == want
     else:
         assert np.array_equal(got, np.unique(rows, axis=0))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    k=st.integers(2, 8),
+    n=st.integers(0, 60),
+    distinct=st.sampled_from([1, 2, 5, 40, 128, 129, 200, 400]),
+    unique=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# 8 columns over 200 distinct values: ranks up to 199 take 8 bits, so
+# k * 8 > 63 takes the int64 lexsort; 128 values still pack
+@example(k=8, n=60, distinct=200, unique=True, seed=0)
+@example(k=8, n=60, distinct=128, unique=False, seed=0)
+@example(k=3, n=0, distinct=5, unique=False, seed=0)
+def test_object_sort_rows_matches_object_lexsort(k, n, distinct, unique, seed):
+    # min(distinct, n k) values near 0, 2^62, 2^500 and past 2^1024, each
+    # present, then repeated entries and repeated rows
+    rng = random.Random(seed)
+    centres = [0, (1 << 62) - (1 << 19), (1 << 500) - (1 << 19), 1 << 1030]
+    pool = [rng.choice(centres) + offset
+            for offset in rng.sample(range(1 << 20), distinct)]
+    flat = pool[: n * k] + [rng.choice(pool) for _ in range(n * k - distinct)]
+    rng.shuffle(flat)
+    rows = [flat[i : i + k] for i in range(0, n * k, k)]
+    rows += rng.sample(rows, n // 3)
+    arr = np.array(rows, dtype=object).reshape(-1, k)
+    got = _sort_rows(arr, unique)
+    assert got.dtype == object
+    assert all(type(v) is int for v in got.ravel().tolist())
+    assert got.shape[1] == k
+    assert got.tolist() == object_lexsort_rows(arr, unique).tolist()
 
 
 def sorted_rows():
@@ -447,6 +480,12 @@ def test_first_in_net_order_is_the_first_least_scalar_index(vectors):
         )
     )
 )
+# shift 1100 keeps rows as written: maxima of exactly 500 bits (converted
+# by astype) and 501 bits (divided), rounding either way, and entries past
+# 2^1024
+@example(rows=[[(1 << 500) - 1, 3, 1],
+               [(1 << 500) + (1 << 60) + 1, 3, 1],
+               [(1 << 1100) + 1, (1 << 1024) + 1, 5]])
 def test_unit_rows_object_matches_scaled_floats(shifts, rows):
     # row i holds 70 + shifts[i % len(shifts)] bits, every bit drawn, so
     # divisions round: 1170 bits is past float range, and (0, 600) mixes
