@@ -51,7 +51,7 @@ def _sieve_primes(n: int) -> list[int]:
     for p in range(2, int(n**0.5) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return [int(p) for p in np.nonzero(mask)[0]]
+    return np.flatnonzero(mask).tolist()
 
 
 def normalize(v: Sequence[float]) -> FloatVec:

@@ -13,6 +13,8 @@ numpy kernel reduces every cloud at every element width: elements below
 2^62 ride in int64 arrays, larger ones (the constructor's factorial-scale
 values beyond 20!) in object arrays of Python ints.  A direction depends
 only on the primitive form of its tuple, so the width changes no row.
+A block of n^2 or more tuples reads from an n x n pair table (n^2 gcds, at
+most one per tuple) whose first two entries share a factor, and divides those.
 
 An exhaustive cloud is closed under coordinate permutations, so it keeps
 only its sorted chamber, the rows with nondecreasing entries: nondecreasing
@@ -336,7 +338,9 @@ def _sort_rows(rows: np.ndarray, unique: bool) -> np.ndarray:
         key.sort()
         if unique:
             key = key[np.r_[True, key[1:] != key[:-1]]]
-        rows = key[:, None] >> bits * np.arange(k - 1, -1, -1)
+        rows = np.empty((len(key), k), dtype=np.int64)
+        for j in range(k):  # column by column: no (n, k) shift temporary
+            np.right_shift(key, bits * (k - 1 - j), out=rows[:, j])
         rows &= (1 << bits) - 1
         return rows
     rows = rows[np.lexsort(rows.T[::-1])]
@@ -345,21 +349,29 @@ def _sort_rows(rows: np.ndarray, unique: bool) -> np.ndarray:
     return rows
 
 
-def _divide_gcd(rows: np.ndarray) -> None:
+def _divide_gcd(rows: np.ndarray, live: np.ndarray | None = None) -> None:
     """Divide each row of positive entries by its gcd, in place.
 
     Most rows turn primitive within two columns, so later columns are read
     only for rows whose running gcd is still above 1, and only those rows
-    are divided.
+    are divided; ``live``, if given, lists rows whose first pair shares a factor.
     """
-    g = np.gcd(rows[:, 0], rows[:, 1])
-    live = np.flatnonzero(g > 1)
-    g = g[live]
+    if live is None:
+        g = np.gcd(rows[:, 0], rows[:, 1])
+        live = np.flatnonzero(g > 1)
+        g = g[live]
+    else:
+        g = np.gcd(rows[live, 0], rows[live, 1])
     for j in range(2, rows.shape[1]):
         g = np.gcd(g, rows[live, j])
         keep = g > 1
         live, g = live[keep], g[keep]
     rows[live] //= g[:, None]
+
+
+def _shared_pairs(elems: np.ndarray) -> np.ndarray:
+    """Boolean n x n table: whether elements i and j share a factor."""
+    return np.gcd.outer(elems, elems) > 1
 
 
 def _reduce_numpy(
@@ -368,14 +380,17 @@ def _reduce_numpy(
     """Sorted distinct primitive forms of the tuples the index blocks pick.
 
     elems is an int64 array or an object array of Python ints; every step
-    here works on both.
+    here works on both.  A block of n^2 or more tuples reads its ``live`` rows
+    from a ``_shared_pairs`` table, which is dropped before the rows are gathered.
     """
     pieces = []
     for idx in blocks:
+        live = None if len(elems) ** 2 > len(idx) else np.flatnonzero(
+            _shared_pairs(elems)[idx[:, 0], idx[:, 1]])
         rows = elems[idx]
         del idx  # free the index block before the sort
         if len(rows):
-            _divide_gcd(rows)
+            _divide_gcd(rows, live)
             pieces.append(_sort_rows(rows, unique=True))
     if not pieces:
         return np.zeros((0, k), dtype=np.int64)

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is written the slow, obvious way with no shared code
-with the package: brute-force tuple enumeration, float fixpoint closure,
+with the package: brute-force tuple enumeration, a replay of the seeded
+draw of a sampled cloud reduced by ``np.gcd.reduce``, float fixpoint closure,
 covering radii over the expanded cloud and from exact arc gaps, and
 high-precision floors via mpmath.  Expected values frozen into the
 test modules were produced by these oracles.  The searches the target
@@ -75,6 +76,18 @@ def brute_directions(A, k, distinct=False):
         g = math.gcd(*tup)
         out.add(tuple(v // g for v in tup))
     return frozenset(out)
+
+
+def replay_sampled_directions(A, k, distinct, sample, seed):
+    """The sorted distinct rows of a sampled cloud, replayed: the seeded
+    index draw, distinct-index rows kept in distinct mode, each drawn tuple
+    divided by ``np.gcd.reduce`` of its entries."""
+    idx = np.random.default_rng(seed).integers(0, len(A), size=(sample, k))
+    if distinct:
+        idx = idx[[len(set(row)) == k for row in idx.tolist()]]
+    rows = np.array(sorted(A), dtype=object)[idx]
+    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    return sorted(set(map(tuple, rows.tolist())))
 
 
 def full_covering_radius(A, k, distinct, net_points):

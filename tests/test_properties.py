@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from directions import density
+from directions import density, enumeration
 from directions.construction import (
     _nearest,
     _tail_floats,
@@ -30,6 +30,7 @@ from directions.core import distance, normalize, scaled_floats
 from directions.density import chain_check, covering_radius, sphere_net
 from directions.enumeration import (
     _ITER_ROWS,
+    _chamber_blocks,
     _divide_gcd,
     _sort_rows,
     _write_csv,
@@ -74,6 +75,7 @@ from oracles import (
     mp_surd_sign,
     object_lexsort_rows,
     percent_s_csv,
+    replay_sampled_directions,
     scalar_backward,
     scalar_distinct_tail_min,
     scalar_forward,
@@ -198,6 +200,89 @@ def test_directions_match_oracle(elements, k, distinct):
         A = explicit_ground_set([e << shift for e in elements])
         got = list(map(tuple, directions(A, k, distinct)._full_rows.tolist()))
         assert got == sorted(brute_directions(A.elements, k, distinct))
+
+
+# multiples of 6, 10 and 15 share factors pairwise, though no three of
+# 6, 10, 15 do, so rows stay live past their first pair
+SHARING_SETS = st.sets(
+    st.one_of(
+        st.integers(1, 40),
+        st.integers(1, 12).flatmap(lambda m: st.sampled_from([6 * m, 10 * m, 15 * m])),
+    ),
+    min_size=1, max_size=7,
+)
+
+
+def _counting_pairs():
+    """A patch of ``_shared_pairs`` that counts the tables built."""
+    return mock.patch.object(
+        enumeration, "_shared_pairs", wraps=enumeration._shared_pairs
+    )
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    elements=SHARING_SETS,
+    k=st.integers(2, 3),
+    distinct=st.booleans(),
+    wide=st.sampled_from(["", "shift", "prime"]),
+    draws=st.sampled_from(["exhaustive", "below", "at", "above"]),
+    seed=st.integers(0, 2**16),
+)
+@example(elements={6, 10, 15, 30}, k=3, distinct=False, wide="",
+         draws="exhaustive", seed=0)
+@example(elements={6, 10, 15, 30}, k=2, distinct=False, wide="prime",
+         draws="exhaustive", seed=0)
+def test_directions_on_both_sides_of_the_pair_table(
+    elements, k, distinct, wide, draws, seed
+):
+    # n^2 pairs against the block's tuples: exhaustive k=3 chambers and
+    # draws of at least n^2 take the table, k=2 chambers and fewer draws
+    # a gcd per row; wide sets are object arrays past 2^62, shifted (every
+    # pair shares 2^62) or holding the prime 2^89 - 1 (few pairs share)
+    if wide == "shift":
+        elements = {e << 62 for e in elements}
+    elif wide == "prime":
+        elements = elements | {(1 << 89) - 1}
+    A = explicit_ground_set(elements)
+    n = len(A)
+    assume(not distinct or n >= k)
+    if draws == "exhaustive":
+        tuples = comb(n, k) if distinct else comb(n + k - 1, k)
+        with _counting_pairs() as pairs:
+            got = directions(A, k, distinct)._full_rows.tolist()
+        assert pairs.call_count == (n * n <= tuples)
+        assert list(map(tuple, got)) == sorted(brute_directions(A.elements, k, distinct))
+    else:
+        sample = max(1, {"below": n * n - 1, "at": n * n, "above": 3 * n * n}[draws])
+        got = directions(A, k, distinct, sample=sample, seed=seed).rows.tolist()
+        assert list(map(tuple, got)) == replay_sampled_directions(
+            A.elements, k, distinct, sample, seed
+        )
+
+
+@pytest.mark.parametrize(
+    "k, distinct, tables",
+    [(2, False, 0), (2, True, 0), (3, False, 1), (3, True, 0), (4, False, 3)],
+)
+def test_pair_table_is_built_only_for_blocks_of_at_least_n_squared(
+    k, distinct, tables
+):
+    # 81-tuple chunks split the n = 9 chambers into blocks on both sides
+    # of n^2 = 81 (k=3: 81, 80 and 4 tuples; k=4: 165, 120, 84, 56, 70);
+    # one table per block that reaches n^2, none for a k=2 chamber
+    A = ground_set("naturals", 9)
+    n = len(A)
+    with mock.patch.object(enumeration, "_CHUNK", n * n):
+        sizes = [len(b) for b in _chamber_blocks(n, k, distinct)]
+        with _counting_pairs() as pairs:
+            got = directions(A, k, distinct)._full_rows.tolist()
+    assert pairs.call_count == sum(size >= n * n for size in sizes) == tables
+    assert list(map(tuple, got)) == sorted(brute_directions(A.elements, k, distinct))
+    for sample, tables in ((n * n - 1, 0), (n * n, 1)):
+        with _counting_pairs() as pairs:
+            directions(A, k, sample=sample, seed=1)
+        assert pairs.call_count == tables
 
 
 @pytest.mark.parametrize("sample", [None, 7])
@@ -527,11 +612,17 @@ def gcd_rows(draw):
 @example(rows=np.array([[6, 10, 15], [4, 6, 9], [8, 12, 16]], dtype=np.int64))
 @example(rows=np.array([[6 << 70, 10 << 70, 15], [4, 6, 9 << 63]], dtype=object))
 def test_divide_gcd_matches_gcd_reduce(rows):
+    # with no ``live`` and with the rows whose first pair shares a factor
     want = rows // np.gcd.reduce(rows, axis=1)[:, None]
-    got = rows.copy()
-    _divide_gcd(got)
-    assert got.dtype == rows.dtype
-    assert got.tolist() == want.tolist()
+    live = np.array(
+        [i for i, row in enumerate(rows.tolist()) if gcd(row[0], row[1]) > 1],
+        dtype=np.intp,
+    )
+    for given_live in (None, live):
+        got = rows.copy()
+        _divide_gcd(got, given_live)
+        assert got.dtype == rows.dtype
+        assert got.tolist() == want.tolist()
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
